@@ -25,7 +25,6 @@ from .core import (
     X5Interpretation,
     XNeg,
     atom,
-    atoms,
     canonical_print,
     iff,
     is_nested,
@@ -44,6 +43,7 @@ from .semantics import EvalMode, classical_sat, value5, x5_fals, x5_sat
 from .solver import (
     SignatureTooLarge,
     SolveOptions,
+    _effective_signature,
     answer_sets,
     equilibrium_models,
     equilibrium_models_ferraris,
@@ -71,8 +71,6 @@ def _global_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-atoms", type=int, default=12,
                      help="refuse enumeration above this many atoms")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument("--parallel", type=int, default=1, metavar="N",
-                     help="worker threads for model scans")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,9 +151,10 @@ def _parse_signature(text: Optional[str]) -> Optional[frozenset]:
 
 
 def _options(args) -> SolveOptions:
+    if args.max_atoms < 0:
+        raise _UsageError(f"--max-atoms must be non-negative, got {args.max_atoms}")
     return SolveOptions(signature=_parse_signature(args.signature),
-                        max_atoms=args.max_atoms,
-                        parallel=args.parallel)
+                        max_atoms=args.max_atoms)
 
 
 def _load_theory(path: str) -> Theory:
@@ -324,7 +323,7 @@ def _cmd_valid(args) -> int:
     f = parse_formula(args.expr)
     opts = _options(args)
     verdict = is_valid(f, opts)
-    sig = sorted(atoms(f) | set(opts.signature or ()))
+    sig = _effective_signature(opts, f)
     if verdict.equivalent:
         _emit(args, "valid", {"valid": True, "formula": canonical_print(f)},
               text_lines=["valid"])
@@ -344,7 +343,7 @@ def _cmd_equiv(args) -> int:
     check = weak_equiv if args.relation == "weak" else subst_equiv
     verdict = check(left, right, opts)
     label = "weakly equivalent" if args.relation == "weak" else "substitution-equivalent"
-    sig = sorted(atoms(left) | atoms(right) | set(opts.signature or ()))
+    sig = _effective_signature(opts, left, right)
     if verdict.equivalent:
         _emit(args, "equiv",
               {"relation": args.relation, "equivalent": True},
@@ -366,11 +365,10 @@ def _cmd_context(args) -> int:
     right = parse_formula(args.right)
     opts = _options(args)
     verdict = discriminating_context(left, right, opts)
-    sig = sorted(atoms(left) | atoms(right) | set(opts.signature or ()))
+    sig = _effective_signature(opts, left, right)
     delta = verdict.context
     delta_rules = [canonical_print(Rule(f.left, f.right)) for f in delta]
-    with_left = equilibrium_models(Theory(list(delta) + [left]), opts)
-    with_right = equilibrium_models(Theory(list(delta) + [right]), opts)
+    with_left, with_right = verdict.context_models
 
     def fmt(models) -> str:
         return ", ".join(str(m) for m in models) if models else "none"

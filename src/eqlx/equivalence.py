@@ -12,20 +12,18 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .core import (
     TOP,
-    Atom,
     Formula,
     Impl,
     Theory,
     X5Interpretation,
-    atoms,
     iff,
 )
 from .semantics import value5, x5_sat
-from .solver import SolveOptions, enumerate_x5, equilibrium_models
+from .solver import SolveOptions, _effective_signature, enumerate_x5, equilibrium_models
 
 __all__ = [
     "EquivVerdict",
@@ -53,14 +51,17 @@ class EquivVerdict:
 
     ``witness`` is the first counter-model in canonical enumeration order and
     is present exactly when ``equivalent`` is false.  ``context`` carries a
-    discriminating theory when one was synthesised, and ``satisfied_side``
-    records which argument the witness satisfies (``"left"`` or ``"right"``).
+    discriminating theory when one was synthesised, ``satisfied_side``
+    records which argument the witness satisfies (``"left"`` or ``"right"``),
+    and ``context_models`` holds two tuples: the equilibrium models of that
+    theory extended by the left formula, then by the right one.
     """
 
     equivalent: bool
     witness: Optional[X5Interpretation] = None
     context: Optional[Theory] = None
     satisfied_side: Optional[str] = None
+    context_models: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if self.equivalent and self.witness is not None:
@@ -69,14 +70,14 @@ class EquivVerdict:
             raise ValueError("a negative verdict requires a witness")
 
 
-def _signature(opts: Optional[SolveOptions], *inputs) -> List[Atom]:
+def _scan(opts: Optional[SolveOptions], holds: Callable[[X5Interpretation], bool],
+          *inputs) -> EquivVerdict:
+    """Negative with the first interpretation, in ``enumerate_x5`` order over
+    the inputs' signature, at which ``holds`` fails; positive if there is none."""
     opts = opts or SolveOptions()
-    sig = set()
-    for x in inputs:
-        sig |= atoms(x)
-    if opts.signature:
-        sig |= set(opts.signature)
-    return sorted(sig)
+    sig = _effective_signature(opts, *inputs)
+    witness = next((m for m in enumerate_x5(sig, opts.max_atoms) if not holds(m)), None)
+    return EquivVerdict(witness is None, witness=witness)
 
 
 def is_valid(phi: Formula, opts: Optional[SolveOptions] = None) -> EquivVerdict:
@@ -85,35 +86,20 @@ def is_valid(phi: Formula, opts: Optional[SolveOptions] = None) -> EquivVerdict:
     Truth-functionality of the five-valued semantics makes the formula's own
     atoms a sufficient signature.
     """
-    opts = opts or SolveOptions()
-    sig = _signature(opts, phi)
-    for m in enumerate_x5(sig, opts.max_atoms):
-        if not value5(m, phi).designated:
-            return EquivVerdict(False, witness=m)
-    return EquivVerdict(True)
+    return _scan(opts, lambda m: value5(m, phi).designated, phi)
 
 
 def weak_equiv(alpha: Formula, beta: Formula,
                opts: Optional[SolveOptions] = None) -> EquivVerdict:
     """Validity of the double implication; decides theory-level strong equivalence."""
-    opts = opts or SolveOptions()
-    sig = _signature(opts, alpha, beta)
     target = iff(alpha, beta)
-    for m in enumerate_x5(sig, opts.max_atoms):
-        if not value5(m, target).designated:
-            return EquivVerdict(False, witness=m)
-    return EquivVerdict(True)
+    return _scan(opts, lambda m: value5(m, target).designated, alpha, beta)
 
 
 def subst_equiv(alpha: Formula, beta: Formula,
                 opts: Optional[SolveOptions] = None) -> EquivVerdict:
     """Equality of five-valued values everywhere; the context-proof congruence."""
-    opts = opts or SolveOptions()
-    sig = _signature(opts, alpha, beta)
-    for m in enumerate_x5(sig, opts.max_atoms):
-        if value5(m, alpha) != value5(m, beta):
-            return EquivVerdict(False, witness=m)
-    return EquivVerdict(True)
+    return _scan(opts, lambda m: value5(m, alpha) == value5(m, beta), alpha, beta)
 
 
 def discriminating_context(alpha: Formula, beta: Formula,
@@ -127,10 +113,10 @@ def discriminating_context(alpha: Formula, beta: Formula,
     there world as facts; otherwise it is the here world as facts plus all
     implications between literals that the there world adds.  The verdict is
     only returned after the solver confirms that the equilibrium models of
-    the two extended theories differ.
+    the two extended theories differ; it carries those models, left first.
     """
     opts = opts or SolveOptions()
-    sig = _signature(opts, alpha, beta)
+    sig = _effective_signature(opts, alpha, beta)
 
     first_left = None
     first_right = None
@@ -163,15 +149,15 @@ def discriminating_context(alpha: Formula, beta: Formula,
                               for l1 in gap for l2 in gap)
     delta = Theory(delta_formulas)
 
-    check_opts = SolveOptions(signature=frozenset(sig),
-                              max_atoms=opts.max_atoms,
-                              parallel=opts.parallel)
-    with_sat = equilibrium_models(Theory(list(delta) + [satisfied]), check_opts)
-    with_other = equilibrium_models(Theory(list(delta) + [other]), check_opts)
+    check_opts = SolveOptions(signature=sig, max_atoms=opts.max_atoms)
+    with_sat = tuple(equilibrium_models(Theory(list(delta) + [satisfied]), check_opts))
+    with_other = tuple(equilibrium_models(Theory(list(delta) + [other]), check_opts))
     if with_sat == with_other:
         raise RuntimeError(
             "discriminating context failed verification; this indicates a solver bug")
-    return EquivVerdict(False, witness=witness, context=delta, satisfied_side=side)
+    models = (with_sat, with_other) if side == "left" else (with_other, with_sat)
+    return EquivVerdict(False, witness=witness, context=delta, satisfied_side=side,
+                        context_models=models)
 
 
 def theory_replace_check(gamma: Theory, alpha: Formula, beta: Formula,
@@ -182,18 +168,15 @@ def theory_replace_check(gamma: Theory, alpha: Formula, beta: Formula,
     The weak equivalence of ``alpha`` and ``beta`` is a precondition and is
     checked; the enumeration is then a regression guard and always succeeds.
     """
-    opts = opts or SolveOptions()
     verdict = weak_equiv(alpha, beta, opts)
     if not verdict.equivalent:
         raise PreconditionViolated(
             "theory_replace_check requires weakly equivalent formulas; "
             f"counter-model {verdict.witness}")
-    sig = _signature(opts, gamma, alpha, beta)
     extended_a = list(gamma) + [alpha]
     extended_b = list(gamma) + [beta]
-    for m in enumerate_x5(sig, opts.max_atoms):
-        model_a = all(x5_sat(m, f) for f in extended_a)
-        model_b = all(x5_sat(m, f) for f in extended_b)
-        if model_a != model_b:
-            return False
-    return True
+
+    def same_models(m: X5Interpretation) -> bool:
+        return all(x5_sat(m, f) for f in extended_a) == all(x5_sat(m, f) for f in extended_b)
+
+    return _scan(opts, same_models, gamma, alpha, beta).equivalent

@@ -2,17 +2,14 @@
 
 Everything here is brute force by design: the search spaces are 3^n literal
 sets and 5^n here/there pairs, and the point of the artifact is checkable
-correctness, not scale.  A guard refuses signatures that would blow up.  All
-candidate checks are pure, so the scan over there-world candidates can be
-spread over threads; results are emitted in enumeration order regardless.
+correctness, not scale.  A guard refuses signatures that would blow up.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from .core import (
     Atom,
@@ -57,33 +54,25 @@ class SolveOptions:
     """Knobs shared by all enumeration entry points.
 
     ``signature`` extends the atoms found in the input (it never shrinks
-    them).  ``parallel`` is a thread count; 1 means sequential.
+    them); any iterable of atoms is stored as a frozenset.
     """
 
     signature: Optional[frozenset] = None
     max_atoms: int = DEFAULT_MAX_ATOMS
-    parallel: int = 1
 
-    @staticmethod
-    def make(signature: Optional[Iterable[Atom]] = None,
-             max_atoms: int = DEFAULT_MAX_ATOMS,
-             parallel: int = 1) -> "SolveOptions":
-        sig = frozenset(signature) if signature is not None else None
-        return SolveOptions(signature=sig, max_atoms=max_atoms, parallel=parallel)
+    def __post_init__(self) -> None:
+        if self.signature is not None:
+            object.__setattr__(self, "signature", frozenset(self.signature))
 
 
-def _effective_signature(opts: Optional[SolveOptions], *inputs) -> List[Atom]:
-    opts = opts or SolveOptions()
+def _effective_signature(opts: SolveOptions, *inputs) -> List[Atom]:
+    """Sorted atoms of the inputs plus the extra atoms; the enumerators guard it."""
     sig = set()
     for x in inputs:
         sig |= atoms(x)
     if opts.signature:
-        sig |= set(opts.signature)
-    ordered = sorted(sig)
-    if len(ordered) > opts.max_atoms:
-        raise SignatureTooLarge(
-            f"signature has {len(ordered)} atoms, guard allows {opts.max_atoms}")
-    return ordered
+        sig |= opts.signature
+    return sorted(sig)
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +85,18 @@ _TRI_STATES = (0, 1, -1)
 _FIVE_STATES = (0, 1, 2, -1, -2)
 
 
-def enumerate_interpretations(signature: Iterable[Atom],
-                              max_atoms: int = DEFAULT_MAX_ATOMS) -> Iterator[Interpretation]:
-    """All 3^n consistent literal sets over the signature, in a fixed order."""
+def _guarded(signature: Iterable[Atom], max_atoms: int) -> List[Atom]:
     ordered = sorted(set(signature))
     if len(ordered) > max_atoms:
         raise SignatureTooLarge(
             f"signature has {len(ordered)} atoms, guard allows {max_atoms}")
+    return ordered
+
+
+def enumerate_interpretations(signature: Iterable[Atom],
+                              max_atoms: int = DEFAULT_MAX_ATOMS) -> Iterator[Interpretation]:
+    """All 3^n consistent literal sets over the signature, in a fixed order."""
+    ordered = _guarded(signature, max_atoms)
     for states in itertools.product(_TRI_STATES, repeat=len(ordered)):
         lits = [ExplicitLiteral(a, negated=s < 0)
                 for a, s in zip(ordered, states) if s != 0]
@@ -112,10 +106,7 @@ def enumerate_interpretations(signature: Iterable[Atom],
 def enumerate_x5(signature: Iterable[Atom],
                  max_atoms: int = DEFAULT_MAX_ATOMS) -> Iterator[X5Interpretation]:
     """All 5^n here/there pairs over the signature, in a fixed order."""
-    ordered = sorted(set(signature))
-    if len(ordered) > max_atoms:
-        raise SignatureTooLarge(
-            f"signature has {len(ordered)} atoms, guard allows {max_atoms}")
+    ordered = _guarded(signature, max_atoms)
     for states in itertools.product(_FIVE_STATES, repeat=len(ordered)):
         here = []
         there = []
@@ -136,13 +127,10 @@ def _strict_subsets(t: Interpretation) -> Iterator[frozenset]:
             yield frozenset(combo)
 
 
-def _scan(candidates: Iterable, keep: Callable, parallel: int) -> list:
-    """Filter candidates by a pure predicate, preserving candidate order."""
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            flagged = pool.map(lambda c: (keep(c), c), candidates, chunksize=16)
-            return [c for ok, c in flagged if ok]
-    return [c for c in candidates if keep(c)]
+def _candidates(opts: Optional[SolveOptions], gamma) -> Iterator[Interpretation]:
+    """The 3^n literal sets over ``gamma``'s atoms and the requested extra atoms."""
+    opts = opts or SolveOptions()
+    return enumerate_interpretations(_effective_signature(opts, gamma), opts.max_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +145,8 @@ def minimal_models_explicit(p: Program, opts: Optional[SolveOptions] = None) -> 
     """Inclusion-minimal models of an explicit program."""
     if not is_explicit(p):
         raise NotExplicit("minimal_models_explicit requires a program without default negation")
-    opts = opts or SolveOptions()
-    sig = _effective_signature(opts, p)
     rules = tuple(p)
-    models = [t for t in enumerate_interpretations(sig, opts.max_atoms)
-              if _models_rule_wise(t.literals, rules)]
+    models = [t for t in _candidates(opts, p) if _models_rule_wise(t.literals, rules)]
     model_sets = [m.literals for m in models]
     return [m for m in models
             if not any(other < m.literals for other in model_sets)]
@@ -169,8 +154,6 @@ def minimal_models_explicit(p: Program, opts: Optional[SolveOptions] = None) -> 
 
 def answer_sets(p: Program, opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """All literal sets that are minimal models of their own reduct."""
-    opts = opts or SolveOptions()
-    sig = _effective_signature(opts, p)
 
     def is_answer_set(t: Interpretation) -> bool:
         rules = tuple(reduct_program(p, t))
@@ -178,14 +161,12 @@ def answer_sets(p: Program, opts: Optional[SolveOptions] = None) -> List[Interpr
             return False
         return not any(_models_rule_wise(s, rules) for s in _strict_subsets(t))
 
-    return _scan(enumerate_interpretations(sig, opts.max_atoms), is_answer_set, opts.parallel)
+    return [t for t in _candidates(opts, p) if is_answer_set(t)]
 
 
 def equilibrium_models(gamma: Union[Theory, Program],
                        opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """Total models admitting no strictly smaller here world."""
-    opts = opts or SolveOptions()
-    sig = _effective_signature(opts, gamma)
     formulas = _theory_formulas(gamma)
 
     def in_equilibrium(t: Interpretation) -> bool:
@@ -195,14 +176,12 @@ def equilibrium_models(gamma: Union[Theory, Program],
         return not any(all(_sat(h, tl, f) for f in formulas)
                        for h in _strict_subsets(t))
 
-    return _scan(enumerate_interpretations(sig, opts.max_atoms), in_equilibrium, opts.parallel)
+    return [t for t in _candidates(opts, gamma) if in_equilibrium(t)]
 
 
 def equilibrium_models_ferraris(gamma: Union[Theory, Program],
                                 opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """Equilibrium models computed as minimal models of the positive reduct."""
-    opts = opts or SolveOptions()
-    sig = _effective_signature(opts, gamma)
     formulas = _theory_formulas(gamma)
 
     def in_equilibrium(t: Interpretation) -> bool:
@@ -213,7 +192,7 @@ def equilibrium_models_ferraris(gamma: Union[Theory, Program],
         return not any(all(_sat(h, h, f) for f in reduced)
                        for h in _strict_subsets(t))
 
-    return _scan(enumerate_interpretations(sig, opts.max_atoms), in_equilibrium, opts.parallel)
+    return [t for t in _candidates(opts, gamma) if in_equilibrium(t)]
 
 
 def _theory_formulas(gamma: Union[Theory, Program]) -> tuple:

@@ -101,7 +101,7 @@ def test_criterion_03_weak_equivalence_is_not_a_congruence():
     contradiction = parse_program("~(p & not p).")
     assert [str(m) for m in answer_sets(contradiction)] == ["{~p}"]
     swapped = parse_program("~bot.")
-    opts = SolveOptions.make(signature={P})
+    opts = SolveOptions(signature={P})
     assert [str(m) for m in answer_sets(swapped, opts)] == ["{}"]
     assert weak_equiv(And(p, DNeg(p)), BOT).equivalent
     report(3, "replacing p & not p by bot inside ~ changes the answer sets")
@@ -353,7 +353,7 @@ def test_criterion_10_randomized_property_suite():
     rng = random.Random(111)
     for _ in range(CASES):
         prog = random_program(rng, _mixed_names(rng), max_rules=2, depth=2)
-        opts = SolveOptions.make(signature=atoms(prog))
+        opts = SolveOptions(signature=atoms(prog))
         regular = to_regular(to_nnf_program(prog))
         assert answer_sets(prog, opts) == answer_sets(regular, opts)
     checked["regularization preserves answer sets"] = CASES

@@ -76,17 +76,17 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", path)
         assert (code, out) == (0, "{}\n{p}\n")
 
-    def test_parallel_matches_sequential(self, tmp_path, capsys):
-        path = write(tmp_path, "r2.x5", RULE2)
-        _, seq, _ = run(capsys, "solve", path)
-        _, par, _ = run(capsys, "solve", path, "--parallel", "4")
-        assert seq == par == "{flies}\n{~bird}\n"
-
     def test_signature_guard_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "ex1.x5", EXAMPLE1)
         code, _, err = run(capsys, "solve", path, "--max-atoms", "0")
         assert code == 3
         assert "guard" in err
+
+    def test_negative_guard_is_a_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, "ex1.x5", EXAMPLE1)
+        code, out, err = run(capsys, "solve", path, "--max-atoms", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --max-atoms must be non-negative, got -1\n"
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "bad.x5", "p -> @.\n")
@@ -194,6 +194,15 @@ class TestContext:
         assert lines[3] == "p -> p."
         assert lines[4] == "equilibrium models with left: {}"
         assert lines[5] == "equilibrium models with right: {}, {p}"
+
+    def test_extra_signature_atom_is_in_no_model(self, capsys):
+        code, out, _ = run(capsys, "context", "p -> p", "not not p -> p",
+                           "--json", "--signature", "z")
+        assert code == 0
+        envelope = json.loads(out)
+        assert envelope["witness"]["values"] == {"p": 1, "z": 0}
+        assert envelope["result"]["equilibrium_models_left"] == [[]]
+        assert envelope["result"]["equilibrium_models_right"] == [[], ["p"]]
 
     def test_equivalent_formulas_refused(self, capsys):
         code, _, err = run(capsys, "context", "p", "p")

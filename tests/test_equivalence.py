@@ -1,4 +1,5 @@
 import pytest
+import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 from conftest import ATOMS, formula_strategy, formulas
@@ -128,6 +129,8 @@ class TestDiscriminatingContext:
     def test_right_side_witness(self):
         verdict = discriminating_context(BOT, p)
         assert verdict.satisfied_side == "right"
+        assert [[str(m) for m in side] for side in verdict.context_models] == \
+            [[], ["{p}"]]
 
     @given(formula_strategy(atom_pool=ATOMS[:2], max_leaves=4),
            formula_strategy(atom_pool=ATOMS[:2], max_leaves=4))
@@ -138,10 +141,23 @@ class TestDiscriminatingContext:
         sat_f, other = (a, b) if verdict.satisfied_side == "left" else (b, a)
         sig = atoms(a) | atoms(b)
         from eqlx import SolveOptions
-        opts = SolveOptions.make(signature=sig)
+        opts = SolveOptions(signature=sig)
         one = equilibrium_models(Theory(list(verdict.context) + [sat_f]), opts)
         two = equilibrium_models(Theory(list(verdict.context) + [other]), opts)
         assert one != two
+
+    @given(formula_strategy(atom_pool=ATOMS[:2], max_leaves=4),
+           formula_strategy(atom_pool=ATOMS[:2], max_leaves=4),
+           st.sampled_from([None, frozenset(), frozenset({ATOMS[2]})]))
+    @settings(max_examples=60)
+    def test_carries_the_models_of_both_extended_theories(self, a, b, extra):
+        assume(not weak_equiv(a, b).equivalent)
+        from eqlx import SolveOptions
+        opts = SolveOptions(signature=extra)
+        verdict = discriminating_context(a, b, opts)
+        left = equilibrium_models(Theory(list(verdict.context) + [a]), opts)
+        right = equilibrium_models(Theory(list(verdict.context) + [b]), opts)
+        assert verdict.context_models == (tuple(left), tuple(right))
 
 
 class TestTheoryReplacement:
@@ -169,7 +185,7 @@ class TestTheoryReplacement:
 
 def _opts_with(*sig):
     from eqlx import SolveOptions
-    return SolveOptions.make(signature=set(sig))
+    return SolveOptions(signature=set(sig))
 
 
 _SUBST_PAIRS = [

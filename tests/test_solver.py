@@ -61,7 +61,7 @@ class TestEnumeration:
             list(enumerate_interpretations(wide))
         with pytest.raises(SignatureTooLarge):
             answer_sets(Program([Rule(TOP, atom("p"))]),
-                        SolveOptions.make(signature=wide))
+                        SolveOptions(signature=wide))
 
 
 class TestMinimalModels:
@@ -163,13 +163,6 @@ class TestOrderRelation:
 
 
 class TestDeterminismAndParallelism:
-    def test_parallel_scan_preserves_order(self):
-        prog = parse_program(
-            "not (bird & ~flies) -> ~(bird & ~flies).\n~ not p -> p.")
-        sequential = answer_sets(prog, SolveOptions.make(parallel=1))
-        threaded = answer_sets(prog, SolveOptions.make(parallel=4))
-        assert sequential == threaded
-
     def test_repeated_runs_identical(self):
         theory = parse_theory("~ not p -> p.\nnot q -> ~q.")
         first = [str(m) for m in equilibrium_models(theory)]
@@ -181,5 +174,13 @@ class TestSignatureExtension:
     def test_extra_atoms_do_not_change_answer_sets(self):
         prog = parse_program("~ not p -> p.")
         base = answer_sets(prog)
-        widened = answer_sets(prog, SolveOptions.make(signature={Q}))
+        widened = answer_sets(prog, SolveOptions(signature={Q}))
         assert base == widened
+
+    def test_constructor_stores_a_frozenset(self):
+        opts = SolveOptions(signature={Q})
+        assert isinstance(opts.signature, frozenset)
+        assert hash(opts) == hash(SolveOptions(signature=frozenset({Q})))
+        assert opts == SolveOptions(signature=frozenset({Q}))
+        assert SolveOptions(signature=[Q, Q]) == opts
+        assert SolveOptions().signature is None

@@ -153,8 +153,8 @@ class TestRegularization:
         assert len(got) == 2
         base = parse_program("bot.")
         sig = {Atom("unsat0")}
-        assert answer_sets(base, SolveOptions.make(signature=sig)) == \
-            answer_sets(got, SolveOptions.make(signature=sig))
+        assert answer_sets(base, SolveOptions(signature=sig)) == \
+            answer_sets(got, SolveOptions(signature=sig))
 
     def test_falsum_rule_reuses_program_atoms(self):
         got = to_regular(parse_program("q.\nbot."))
@@ -174,7 +174,7 @@ class TestRegularization:
     @given(programs)
     @settings(max_examples=80)
     def test_answer_sets_preserved(self, prog):
-        opts = SolveOptions.make(signature=atoms(prog))
+        opts = SolveOptions(signature=atoms(prog))
         regular = to_regular(to_nnf_program(prog))
         assert answer_sets(prog, opts) == answer_sets(regular, opts)
 
@@ -182,7 +182,7 @@ class TestRegularization:
         rng = random.Random(7041)
         for _ in range(60):
             prog = random_program(rng, names=("p", "q"), max_rules=2, depth=2)
-            opts = SolveOptions.make(signature=atoms(prog))
+            opts = SolveOptions(signature=atoms(prog))
             flat = to_regular(to_nnf_program(prog), eliminate_head_dneg=True)
             assert answer_sets(prog, opts) == answer_sets(flat, opts)
 
