@@ -76,6 +76,7 @@ from .semantics import (
     x5_sat,
 )
 from .solver import (
+    InternalInconsistency,
     NotExplicit,
     SignatureTooLarge,
     SolveOptions,

@@ -2,7 +2,8 @@
 
 Results go to stdout, diagnostics and rule traces to stderr.  Exit codes:
 0 success, 1 semantic negative (no models, not valid, not equivalent),
-2 usage or parse error, 3 resource guard tripped.
+2 usage or parse error, 3 resource guard tripped, 4 internal inconsistency
+(two routes that must agree did not; a bug in eqlx).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .parser import ParseError, _tokenize, parse_formula, parse_interpretation, 
 from .reduct import ferraris_minus, ferraris_plus, reduct_program, simplify_constants
 from .semantics import EvalMode, classical_sat, value5, x5_fals, x5_sat
 from .solver import (
+    InternalInconsistency,
     SignatureTooLarge,
     SolveOptions,
     _effective_signature,
@@ -244,7 +246,7 @@ def _cmd_solve(args) -> int:
         agreement = all(runs[n] == first for n in engine_names)
         if not agreement:
             detail = {n: [str(m) for m in ms] for n, ms in runs.items()}
-            raise RuntimeError(f"solver engines disagree: {detail}")
+            raise InternalInconsistency(f"solver engines disagree: {detail}")
 
     kind = "answer_sets" if program is not None else "equilibrium_models"
     result = {
@@ -514,6 +516,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EquivalentFormulas as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalInconsistency as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ParseError, _UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,13 @@ including under explicit negation.  When two formulas are not weakly
 equivalent, a small theory can be synthesised that makes their equilibrium
 models differ; the construction is verified against the solver before being
 returned.
+
+Every decision here reads bitsliced truth tables (``truthtable``): each
+formula compiles to masks over the whole 5^n here/there space, and a
+counter-model is the lowest set bit of a mask, which is the first one in
+``enumerate_x5`` order.  Before a negative verdict is returned, the reference
+route (``value5`` or ``x5_sat``) evaluates its witness again; a mismatch
+raises ``InternalInconsistency``.
 """
 
 from __future__ import annotations
@@ -23,7 +30,14 @@ from .core import (
     iff,
 )
 from .semantics import value5, x5_sat
-from .solver import SolveOptions, _effective_signature, enumerate_x5, equilibrium_models
+from .solver import (
+    InternalInconsistency,
+    SolveOptions,
+    _effective_signature,
+    enumerate_x5,  # noqa: F401  bench/tracing.py wraps this module binding
+    equilibrium_models,
+)
+from .truthtable import Chunk, first_point
 
 __all__ = [
     "EquivVerdict",
@@ -70,14 +84,24 @@ class EquivVerdict:
             raise ValueError("a negative verdict requires a witness")
 
 
-def _scan(opts: Optional[SolveOptions], holds: Callable[[X5Interpretation], bool],
-          *inputs) -> EquivVerdict:
-    """Negative with the first interpretation, in ``enumerate_x5`` order over
-    the inputs' signature, at which ``holds`` fails; positive if there is none."""
+def _decide(opts: Optional[SolveOptions], hits: Callable[[Chunk], int],
+            refutes: Callable[[X5Interpretation], bool], *inputs) -> EquivVerdict:
+    """Negative with the first point, in ``enumerate_x5`` order over the
+    inputs' signature, in the truth-table mask ``hits``; positive if there is
+    none.  The reference route ``refutes`` re-checks the witness first."""
     opts = opts or SolveOptions()
     sig = _effective_signature(opts, *inputs)
-    witness = next((m for m in enumerate_x5(sig, opts.max_atoms) if not holds(m)), None)
-    return EquivVerdict(witness is None, witness=witness)
+    witness = first_point(sig, opts.max_atoms, hits)
+    if witness is None:
+        return EquivVerdict(True)
+    _confirm(refutes(witness), witness)
+    return EquivVerdict(False, witness=witness)
+
+
+def _confirm(agrees: bool, witness: X5Interpretation) -> None:
+    if not agrees:
+        raise InternalInconsistency(
+            f"the truth tables and the reference evaluation disagree at {witness}")
 
 
 def is_valid(phi: Formula, opts: Optional[SolveOptions] = None) -> EquivVerdict:
@@ -86,20 +110,29 @@ def is_valid(phi: Formula, opts: Optional[SolveOptions] = None) -> EquivVerdict:
     Truth-functionality of the five-valued semantics makes the formula's own
     atoms a sufficient signature.
     """
-    return _scan(opts, lambda m: value5(m, phi).designated, phi)
+    return _decide(opts, lambda t: t.full ^ t.designated(phi),
+                   lambda m: not value5(m, phi).designated, phi)
 
 
 def weak_equiv(alpha: Formula, beta: Formula,
                opts: Optional[SolveOptions] = None) -> EquivVerdict:
     """Validity of the double implication; decides theory-level strong equivalence."""
     target = iff(alpha, beta)
-    return _scan(opts, lambda m: value5(m, target).designated, alpha, beta)
+    return _decide(opts, lambda t: t.full ^ t.designated(target),
+                   lambda m: not value5(m, target).designated, alpha, beta)
 
 
 def subst_equiv(alpha: Formula, beta: Formula,
                 opts: Optional[SolveOptions] = None) -> EquivVerdict:
     """Equality of five-valued values everywhere; the context-proof congruence."""
-    return _scan(opts, lambda m: value5(m, alpha) == value5(m, beta), alpha, beta)
+    def differ(t: Chunk) -> int:
+        bits = 0
+        for x, y in zip(t.levels(alpha), t.levels(beta)):
+            bits |= x ^ y
+        return bits
+
+    return _decide(opts, differ, lambda m: value5(m, alpha) != value5(m, beta),
+                   alpha, beta)
 
 
 def discriminating_context(alpha: Formula, beta: Formula,
@@ -118,24 +151,19 @@ def discriminating_context(alpha: Formula, beta: Formula,
     opts = opts or SolveOptions()
     sig = _effective_signature(opts, alpha, beta)
 
-    first_left = None
-    first_right = None
-    for m in enumerate_x5(sig, opts.max_atoms):
-        sat_a = x5_sat(m, alpha)
-        sat_b = x5_sat(m, beta)
-        if sat_a and not sat_b and first_left is None:
-            first_left = m
-        if sat_b and not sat_a and first_right is None:
-            first_right = m
-        if first_left is not None:
-            break
-    if first_left is not None:
-        witness, satisfied, other, side = first_left, alpha, beta, "left"
-    elif first_right is not None:
-        witness, satisfied, other, side = first_right, beta, alpha, "right"
-    else:
+    def first_model_of_only(one: Formula, two: Formula) -> Optional[X5Interpretation]:
+        return first_point(sig, opts.max_atoms,
+                           lambda t: t.designated(one) & ~t.designated(two))
+
+    satisfied, other, side = alpha, beta, "left"
+    witness = first_model_of_only(alpha, beta)
+    if witness is None:
+        satisfied, other, side = beta, alpha, "right"
+        witness = first_model_of_only(beta, alpha)
+    if witness is None:
         raise EquivalentFormulas(
             "cannot build a discriminating context for weakly equivalent formulas")
+    _confirm(x5_sat(witness, satisfied) and not x5_sat(witness, other), witness)
 
     here, there = witness.here, witness.there
     total = X5Interpretation(there, there)
@@ -153,7 +181,7 @@ def discriminating_context(alpha: Formula, beta: Formula,
     with_sat = tuple(equilibrium_models(Theory(list(delta) + [satisfied]), check_opts))
     with_other = tuple(equilibrium_models(Theory(list(delta) + [other]), check_opts))
     if with_sat == with_other:
-        raise RuntimeError(
+        raise InternalInconsistency(
             "discriminating context failed verification; this indicates a solver bug")
     models = (with_sat, with_other) if side == "left" else (with_other, with_sat)
     return EquivVerdict(False, witness=witness, context=delta, satisfied_side=side,
@@ -176,7 +204,14 @@ def theory_replace_check(gamma: Theory, alpha: Formula, beta: Formula,
     extended_a = list(gamma) + [alpha]
     extended_b = list(gamma) + [beta]
 
-    def same_models(m: X5Interpretation) -> bool:
-        return all(x5_sat(m, f) for f in extended_a) == all(x5_sat(m, f) for f in extended_b)
+    def models(t: Chunk, theory: List[Formula]) -> int:
+        bits = t.full
+        for f in theory:
+            bits &= t.designated(f)
+        return bits
 
-    return _scan(opts, same_models, gamma, alpha, beta).equivalent
+    def differ(m: X5Interpretation) -> bool:
+        return all(x5_sat(m, f) for f in extended_a) != all(x5_sat(m, f) for f in extended_b)
+
+    return _decide(opts, lambda t: models(t, extended_a) ^ models(t, extended_b),
+                   differ, gamma, alpha, beta).equivalent

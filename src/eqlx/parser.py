@@ -153,10 +153,16 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
+# Deepest nesting of parentheses, prefix negations and right-nested
+# implications; each level costs the parser up to seven stack frames.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -180,6 +186,12 @@ class _Parser:
     def _unexpected(self, tok: _Token) -> ParseError:
         shown = tok.text or "end of input"
         return ParseError(f"unexpected token {shown!r}", tok.span)
+
+    def _enter(self, tok: _Token) -> None:
+        """Open one nesting level at ``tok``; the caller closes it."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError("nesting too deep", tok.span)
 
     # -- formula grammar ----------------------------------------------------
     #
@@ -213,8 +225,10 @@ class _Parser:
     def _implication(self) -> Formula:
         left = self._disjunction(nested=False)
         if self.peek().kind == "->":
-            self.take()
-            return Impl(left, self._implication())
+            self._enter(self.take())
+            right = self._implication()
+            self.depth -= 1
+            return Impl(left, right)
         return left
 
     def _disjunction(self, nested: bool) -> Formula:
@@ -233,13 +247,12 @@ class _Parser:
 
     def _prefix(self, nested: bool) -> Formula:
         tok = self.peek()
-        if tok.kind == "~":
-            self.take()
-            return XNeg(self._prefix(nested))
-        if tok.kind == "not":
-            self.take()
-            return DNeg(self._prefix(nested))
-        return self._primary(nested)
+        if tok.kind not in ("~", "not"):
+            return self._primary(nested)
+        self._enter(self.take())
+        child = self._prefix(nested)
+        self.depth -= 1
+        return XNeg(child) if tok.kind == "~" else DNeg(child)
 
     def _primary(self, nested: bool) -> Formula:
         tok = self.peek()
@@ -256,7 +269,7 @@ class _Parser:
             except ValueError as exc:
                 raise ParseError(str(exc), tok.span) from None
         if tok.kind == "(":
-            self.take()
+            self._enter(self.take())
             inner = self.formula(nested=nested)
             if self.peek().kind != ")":
                 bad = self.peek()
@@ -264,6 +277,7 @@ class _Parser:
                     raise ParseError("implication nested inside rule body/head", bad.span)
                 raise ParseError(self._expected_message(")", bad), bad.span)
             self.take(")")
+            self.depth -= 1
             return inner
         raise self._unexpected(tok)
 

@@ -28,6 +28,7 @@ from .semantics import _nsat, _sat
 __all__ = [
     "DEFAULT_MAX_ATOMS",
     "SignatureTooLarge",
+    "InternalInconsistency",
     "NotExplicit",
     "SolveOptions",
     "enumerate_interpretations",
@@ -43,6 +44,11 @@ DEFAULT_MAX_ATOMS = 12
 
 class SignatureTooLarge(ValueError):
     """Enumeration over this many atoms was refused; raise the guard to force it."""
+
+
+class InternalInconsistency(RuntimeError):
+    """Two routes that must agree did not: an engine, a truth table or a
+    self-check is wrong.  The command line reports it with exit code 4."""
 
 
 class NotExplicit(ValueError):

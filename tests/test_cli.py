@@ -94,6 +94,20 @@ class TestSolve:
         assert code == 2
         assert "lexical error" in err
 
+    def test_engine_disagreement_exits_4(self, tmp_path, capsys, monkeypatch):
+        import eqlx.cli
+        monkeypatch.setattr(eqlx.cli, "equilibrium_models_ferraris", lambda *args: [])
+        path = write(tmp_path, "ex1.x5", EXAMPLE1)
+        code, out, err = run(capsys, "solve", path)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: solver engines disagree")
+
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        path = write(tmp_path, "deep.x5", "(" * 1200 + "p" + ")" * 1200 + ".\n")
+        code, _, err = run(capsys, "solve", path)
+        assert code == 2
+        assert "nesting too deep" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent/x.x5")
         assert code == 2
@@ -178,6 +192,19 @@ class TestValidAndEquiv:
         assert code == 1
         assert out == "not substitution-equivalent\nwitness: p=0 : 0 vs -2\n"
 
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "valid", "(" * 1200 + "p" + ")" * 1200)
+        assert (code, out) == (2, "")
+        assert err == "error: line 1, column 101: nesting too deep\n"
+
+    def test_witness_rejected_by_the_reference_exits_4(self, capsys, monkeypatch):
+        import eqlx.equivalence
+        from eqlx import FiveValue
+        monkeypatch.setattr(eqlx.equivalence, "value5", lambda m, f: FiveValue.PROVEN_TRUE)
+        code, out, err = run(capsys, "valid", "not not p -> p")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ")
+
     def test_equiv_weak_positive(self, capsys):
         code, out, _ = run(capsys, "equiv", "weak", "p & not p", "bot")
         assert (code, out) == (0, "weakly equivalent\n")
@@ -214,6 +241,11 @@ class TestTransformCommands:
     def test_nnf(self, capsys):
         code, out, _ = run(capsys, "nnf", "~(p & not p)")
         assert (code, out) == (0, "~p | not not p\n")
+
+    def test_nnf_deep_negation_is_a_parse_error(self, capsys):
+        code, _, err = run(capsys, "nnf", "~" * 3000 + "p")
+        assert code == 2
+        assert "nesting too deep" in err
 
     def test_nnf_n5_mode(self, capsys):
         code, out, _ = run(capsys, "nnf", "~ not p -> p", "--mode", "n5")

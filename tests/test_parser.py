@@ -98,6 +98,40 @@ class TestFormulaErrors:
         assert err.value.span.column == 3
 
 
+class TestNestingBound:
+    def test_hundred_levels_parse(self):
+        assert parse_formula("(" * 100 + "p" + ")" * 100) == p
+        f = parse_formula("~" * 100 + "p")
+        for _ in range(100):
+            assert isinstance(f, XNeg)
+            f = f.child
+        assert f == p
+        chain = parse_formula(" -> ".join(["p"] * 101))
+        assert isinstance(chain, Impl)
+
+    @pytest.mark.parametrize("text,column", [
+        ("(" * 101 + "p" + ")" * 101, 101),
+        ("~" * 60 + "not " * 41 + "p", 221),
+        (" -> ".join(["p"] * 102), 3 + 100 * 5),
+        ("(~" * 50 + "(p" + ")" * 51, 101),
+    ])
+    def test_deeper_is_a_parse_error_at_the_offending_token(self, text, column):
+        with pytest.raises(ParseError, match="nesting too deep") as err:
+            parse_formula(text)
+        assert err.value.span.column == column
+
+    def test_left_associative_chains_are_unbounded(self):
+        f = parse_formula(" & ".join(["p"] * 3000))
+        for _ in range(2999):
+            assert isinstance(f, And)
+            f = f.left
+        assert f == p
+
+    def test_rule_statements_are_bounded(self):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_program("(" * 101 + "p" + ")" * 101 + ".")
+
+
 class TestProgramGrammar:
     def test_single_rule(self):
         assert parse_program("~ not p -> p.") == Program([Rule(XNeg(DNeg(p)), p)])

@@ -1,0 +1,195 @@
+"""The truth-table route against the reference routes it replaced."""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from conftest import ATOMS, formula_strategy
+from genutil import random_formula
+from eqlx import (
+    BOT,
+    TOP,
+    And,
+    Atom,
+    AtomRef,
+    Bot,
+    DNeg,
+    EquivalentFormulas,
+    Impl,
+    InternalInconsistency,
+    Or,
+    SignatureTooLarge,
+    SolveOptions,
+    Theory,
+    Top,
+    X5Interpretation,
+    XNeg,
+    atoms,
+    discriminating_context,
+    enumerate_x5,
+    iff,
+    is_valid,
+    parse_formula,
+    subst_equiv,
+    theory_replace_check,
+    value5,
+    weak_equiv,
+    x5_sat,
+)
+from eqlx import equivalence, truthtable
+from eqlx.truthtable import chunks
+
+
+def _only_chunk(sig):
+    [chunk] = list(chunks(sig, len(sig)))
+    return chunk
+
+
+def _node_types(f, seen):
+    seen.add(type(f))
+    for child in (getattr(f, name, None) for name in ("left", "right", "child")):
+        if child is not None:
+            _node_types(child, seen)
+
+
+# ---------------------------------------------------------------------------
+# Masks against value5, point by point
+
+
+def test_masks_match_value5_at_every_point():
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(300):
+        f = random_formula(rng, depth=4)
+        _node_types(f, seen)
+        sig = sorted(atoms(f) | {ATOMS[rng.randrange(3)]})
+        chunk = _only_chunk(sig)
+        levels = chunk.levels(f)
+        for i, m in enumerate(enumerate_x5(sig)):
+            v = value5(m, f)
+            assert [bool(mask >> i & 1) for mask in levels] == [v >= k for k in (-1, 0, 1, 2)]
+        assert all(mask <= chunk.full for mask in levels)
+    assert seen == {Top, Bot, AtomRef, XNeg, DNeg, And, Or, Impl}
+
+
+def test_chunks_hold_at_most_five_to_the_seventh_points():
+    sig = [Atom(f"a{i}") for i in range(9)]
+    sizes = [c.full.bit_length() for c in chunks(sig, 12)]
+    assert sizes == [5 ** 7] * 25
+
+
+@pytest.mark.parametrize("chunk_atoms", [1, 2, 7])
+def test_points_follow_enumeration_order_across_chunks(chunk_atoms):
+    sig = [Atom(n) for n in ("a", "b", "c", "d")]
+    with mock.patch.object(truthtable, "_CHUNK_ATOMS", chunk_atoms):
+        decoded = [c.point(i) for c in chunks(sig, 12) for i in range(c.full.bit_length())]
+    assert decoded == list(enumerate_x5(sig))
+
+
+# ---------------------------------------------------------------------------
+# Verdicts against a copy of the enumeration loops the route replaced
+
+
+def _reference_scan(holds, sig):
+    return next((m for m in enumerate_x5(sig) if not holds(m)), None)
+
+
+def _reference_context(alpha, beta, sig):
+    first_right = None
+    for m in enumerate_x5(sig):
+        sat_a, sat_b = x5_sat(m, alpha), x5_sat(m, beta)
+        if sat_a and not sat_b:
+            return m, "left"
+        if sat_b and not sat_a and first_right is None:
+            first_right = m
+    return first_right, "right" if first_right is not None else None
+
+
+small_formulas = formula_strategy(max_leaves=5)
+
+
+@given(small_formulas, small_formulas, st.sampled_from([1, 2, 7]))
+@settings(max_examples=150)
+def test_verdicts_match_the_reference_scan(a, b, chunk_atoms):
+    sig = sorted(atoms(a) | atoms(b))
+    with mock.patch.object(truthtable, "_CHUNK_ATOMS", chunk_atoms):
+        valid = is_valid(a)
+        weak = weak_equiv(a, b)
+        subst = subst_equiv(a, b)
+        try:
+            context = discriminating_context(a, b)
+        except EquivalentFormulas:
+            context = None
+
+    assert valid.witness == _reference_scan(lambda m: value5(m, a).designated, sorted(atoms(a)))
+    target = iff(a, b)
+    assert weak.witness == _reference_scan(lambda m: value5(m, target).designated, sig)
+    assert subst.witness == _reference_scan(lambda m: value5(m, a) == value5(m, b), sig)
+    witness, side = _reference_context(a, b, sig)
+    if context is None:
+        assert witness is None
+    else:
+        assert (context.witness, context.satisfied_side) == (witness, side)
+
+
+@given(st.lists(formula_strategy(max_leaves=3), max_size=2), small_formulas)
+@settings(max_examples=60)
+def test_theory_replacement_agrees_with_the_reference_scan(gamma, a):
+    b = And(a, a)
+    sig = sorted(atoms(Theory(gamma)) | atoms(a))
+
+    def same_models(m):
+        return (all(x5_sat(m, f) for f in gamma + [a])
+                == all(x5_sat(m, f) for f in gamma + [b]))
+
+    assert theory_replace_check(Theory(gamma), a, b) == (_reference_scan(same_models, sig) is None)
+
+
+# ---------------------------------------------------------------------------
+# Chunk boundaries and the guard
+
+
+def test_first_witness_of_the_second_chunk():
+    names = [f"p{i}" for i in range(8)]
+    text = " & ".join(["(not p0 | p0)"] + [f"({n} -> {n})" for n in names[1:]])
+    verdict = is_valid(parse_formula(text))
+    assert verdict.witness == X5Interpretation.from_values(
+        {Atom(n): int(n == "p0") for n in names})
+
+
+def test_twelve_atoms_fit_the_default_guard():
+    f = parse_formula(" & ".join(f"(p{i} -> p{i})" for i in range(12)))
+    assert is_valid(f).equivalent
+
+
+def test_thirteen_atoms_trip_the_guard():
+    f = parse_formula(" & ".join(f"(p{i} -> p{i})" for i in range(13)))
+    with pytest.raises(SignatureTooLarge):
+        is_valid(f)
+    with pytest.raises(SignatureTooLarge):
+        weak_equiv(f, f)
+
+
+def test_guard_counts_extra_signature_atoms():
+    extra = SolveOptions(signature={Atom("q")}, max_atoms=1)
+    with pytest.raises(SignatureTooLarge):
+        is_valid(Impl(AtomRef(Atom("p")), AtomRef(Atom("p"))), extra)
+
+
+# ---------------------------------------------------------------------------
+# The reference route re-checks every witness
+
+
+def test_witness_rejected_by_value5_is_an_internal_inconsistency(monkeypatch):
+    monkeypatch.setattr(equivalence, "value5", lambda m, f: value5(m, TOP))
+    with pytest.raises(InternalInconsistency, match="disagree"):
+        is_valid(parse_formula("not not p -> p"))
+
+
+def test_context_witness_rejected_by_x5_sat_is_an_internal_inconsistency(monkeypatch):
+    monkeypatch.setattr(equivalence, "x5_sat", lambda m, f: True)
+    with pytest.raises(InternalInconsistency, match="disagree"):
+        discriminating_context(AtomRef(Atom("p")), BOT)
