@@ -45,12 +45,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--atoms", type=int, default=3, choices=(1, 2, 3, 4))
+    ap.add_argument("--atoms", type=int, default=3, choices=range(1, 7))
     ap.add_argument("--max-rules", type=int, default=3)
     ap.add_argument("--depth", type=int, default=2)
     args = ap.parse_args()
 
-    names = ("p", "q", "r", "s")[: args.atoms]
+    names = ("p", "q", "r", "s", "t", "u")[: args.atoms]
     rng = random.Random(args.seed)
     histogram = collections.Counter()
 

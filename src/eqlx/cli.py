@@ -2,8 +2,10 @@
 
 Results go to stdout, diagnostics and rule traces to stderr.  Exit codes:
 0 success, 1 semantic negative (no models, not valid, not equivalent),
-2 usage or parse error, 3 resource guard tripped, 4 internal inconsistency
-(two routes that must agree did not; a bug in eqlx).
+2 usage or parse error, 3 resource guard tripped (including a formula that
+nests too deeply to evaluate, such as a chain of thousands of ``&`` or
+``|``), 4 internal inconsistency (two routes that must agree did not; a bug
+in eqlx).
 """
 
 from __future__ import annotations
@@ -512,6 +514,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (SignatureTooLarge, RewriteBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("error: formula nests too deeply to evaluate", file=sys.stderr)
         return 3
     except EquivalentFormulas as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -224,75 +224,56 @@ class Rule:
         return canonical_print(self)
 
 
-class Program:
+class _Collection:
+    """Ordered, duplicate-free collection of ``_member`` items with set equality."""
+
+    __slots__ = ("_items",)
+    _member: type
+
+    def __init__(self, items: Iterable = ()):
+        seen = set()
+        kept = []
+        for x in items:
+            if not isinstance(x, self._member):
+                raise TypeError(f"expected {self._member.__name__}, got {type(x).__name__}")
+            if x not in seen:
+                seen.add(x)
+                kept.append(x)
+        self._items: tuple = tuple(kept)
+
+    def __iter__(self) -> Iterator:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return frozenset(self._items) == frozenset(other._items)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._items))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self._items)!r})"
+
+
+class Program(_Collection):
     """Ordered, duplicate-free collection of rules with set equality."""
 
-    __slots__ = ("rules",)
-
-    def __init__(self, rules: Iterable[Rule] = ()):
-        seen = set()
-        kept = []
-        for r in rules:
-            if not isinstance(r, Rule):
-                raise TypeError(f"expected Rule, got {type(r).__name__}")
-            if r not in seen:
-                seen.add(r)
-                kept.append(r)
-        self.rules: tuple = tuple(kept)
+    __slots__ = ()
+    _member = Rule
 
     def as_theory(self) -> "Theory":
-        return Theory(r.as_implication() for r in self.rules)
-
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self.rules)
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Program):
-            return NotImplemented
-        return frozenset(self.rules) == frozenset(other.rules)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.rules))
-
-    def __repr__(self) -> str:
-        return f"Program({list(self.rules)!r})"
+        return Theory(r.as_implication() for r in self)
 
 
-class Theory:
+class Theory(_Collection):
     """Ordered, duplicate-free collection of formulas with set equality."""
 
-    __slots__ = ("formulas",)
-
-    def __init__(self, formulas: Iterable[Formula] = ()):
-        seen = set()
-        kept = []
-        for f in formulas:
-            if not isinstance(f, Formula):
-                raise TypeError(f"expected Formula, got {type(f).__name__}")
-            if f not in seen:
-                seen.add(f)
-                kept.append(f)
-        self.formulas: tuple = tuple(kept)
-
-    def __iter__(self) -> Iterator[Formula]:
-        return iter(self.formulas)
-
-    def __len__(self) -> int:
-        return len(self.formulas)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Theory):
-            return NotImplemented
-        return frozenset(self.formulas) == frozenset(other.formulas)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.formulas))
-
-    def __repr__(self) -> str:
-        return f"Theory({list(self.formulas)!r})"
+    __slots__ = ()
+    _member = Formula
 
 
 class Interpretation:

@@ -263,7 +263,5 @@ def _csat_impl(h: _LitSet, t: _LitSet, left: Formula, right: Formula) -> bool:
 def is_model(m: X5Interpretation, gamma: Union[Theory, Program]) -> bool:
     """Does ``m`` satisfy every member of the theory (rules as implications)?"""
     if isinstance(gamma, Program):
-        return all(
-            _sat(m.here.literals, m.there.literals, r.as_implication()) for r in gamma
-        )
+        gamma = gamma.as_theory()
     return all(_sat(m.here.literals, m.there.literals, f) for f in gamma)

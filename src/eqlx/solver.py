@@ -3,26 +3,38 @@
 Everything here is brute force by design: the search spaces are 3^n literal
 sets and 5^n here/there pairs, and the point of the artifact is checkable
 correctness, not scale.  A guard refuses signatures that would blow up.
+
+All four engines share one scan, ``_minimal_models``: a candidate literal set
+is kept when it passes the engine's model test and none of its strict subsets
+does.  The three engines that ``solve`` compares keep independent tests:
+``answer_sets`` reads each rule's nested reduct with ``_nsat``,
+``equilibrium_models`` reads the theory with ``_sat`` below the candidate, and
+``equilibrium_models_ferraris`` reads the positive reduct (``ferraris_theory``)
+with ``_sat`` at single worlds.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     Atom,
     ExplicitLiteral,
+    Formula,
     Interpretation,
     Program,
-    Rule,
     Theory,
     X5Interpretation,
     atoms,
     is_explicit,
 )
-from .reduct import ferraris_theory, reduct_program
+from .reduct import (
+    _reduct,
+    ferraris_theory,
+    reduct_program,  # noqa: F401  bench/tracing.py wraps this module binding
+)
 from .semantics import _nsat, _sat
 
 __all__ = [
@@ -143,65 +155,54 @@ def _candidates(opts: Optional[SolveOptions], gamma) -> Iterator[Interpretation]
 # Engines
 
 
-def _models_rule_wise(t: frozenset, rules: Sequence[Rule]) -> bool:
-    return all((not _nsat(t, r.body)) or _nsat(t, r.head) for r in rules)
+def _minimal_models(opts: Optional[SolveOptions], gamma,
+                    models_at: Callable[[Interpretation], Callable[[frozenset], bool]],
+                    ) -> List[Interpretation]:
+    """The candidates ``t``, in order, whose literals pass the test
+    ``models_at(t)`` while none of their strict subsets do."""
+    found = []
+    for t in _candidates(opts, gamma):
+        is_model = models_at(t)
+        if is_model(t.literals) and not any(map(is_model, _strict_subsets(t))):
+            found.append(t)
+    return found
+
+
+def _rule_wise(rules: Sequence[Tuple[Formula, Formula]]) -> Callable[[frozenset], bool]:
+    """Model test of the explicit ``(body, head)`` rules on a literal set."""
+    return lambda s: all(not _nsat(s, body) or _nsat(s, head) for body, head in rules)
 
 
 def minimal_models_explicit(p: Program, opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """Inclusion-minimal models of an explicit program."""
     if not is_explicit(p):
         raise NotExplicit("minimal_models_explicit requires a program without default negation")
-    rules = tuple(p)
-    models = [t for t in _candidates(opts, p) if _models_rule_wise(t.literals, rules)]
-    model_sets = [m.literals for m in models]
-    return [m for m in models
-            if not any(other < m.literals for other in model_sets)]
+    models = _rule_wise([(r.body, r.head) for r in p])
+    # minimal among all models, since every strict subset of a candidate is a candidate
+    return _minimal_models(opts, p, lambda t: models)
 
 
 def answer_sets(p: Program, opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """All literal sets that are minimal models of their own reduct."""
-
-    def is_answer_set(t: Interpretation) -> bool:
-        rules = tuple(reduct_program(p, t))
-        if not _models_rule_wise(t.literals, rules):
-            return False
-        return not any(_models_rule_wise(s, rules) for s in _strict_subsets(t))
-
-    return [t for t in _candidates(opts, p) if is_answer_set(t)]
+    return _minimal_models(opts, p, lambda t: _rule_wise(
+        [(_reduct(r.body, t.literals), _reduct(r.head, t.literals)) for r in p]))
 
 
 def equilibrium_models(gamma: Union[Theory, Program],
                        opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """Total models admitting no strictly smaller here world."""
-    formulas = _theory_formulas(gamma)
-
-    def in_equilibrium(t: Interpretation) -> bool:
-        tl = t.literals
-        if not all(_sat(tl, tl, f) for f in formulas):
-            return False
-        return not any(all(_sat(h, tl, f) for f in formulas)
-                       for h in _strict_subsets(t))
-
-    return [t for t in _candidates(opts, gamma) if in_equilibrium(t)]
+    theory = gamma.as_theory() if isinstance(gamma, Program) else gamma
+    return _minimal_models(opts, gamma, lambda t: lambda h: all(
+        _sat(h, t.literals, f) for f in theory))
 
 
 def equilibrium_models_ferraris(gamma: Union[Theory, Program],
                                 opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """Equilibrium models computed as minimal models of the positive reduct."""
-    formulas = _theory_formulas(gamma)
+    theory = gamma.as_theory() if isinstance(gamma, Program) else gamma
 
-    def in_equilibrium(t: Interpretation) -> bool:
-        reduced = [f for f in ferraris_theory(formulas, t)]
-        tl = t.literals
-        if not all(_sat(tl, tl, f) for f in reduced):
-            return False
-        return not any(all(_sat(h, h, f) for f in reduced)
-                       for h in _strict_subsets(t))
+    def models_at(t: Interpretation) -> Callable[[frozenset], bool]:
+        reduced = ferraris_theory(theory, t)
+        return lambda h: all(_sat(h, h, f) for f in reduced)
 
-    return [t for t in _candidates(opts, gamma) if in_equilibrium(t)]
-
-
-def _theory_formulas(gamma: Union[Theory, Program]) -> tuple:
-    if isinstance(gamma, Program):
-        return tuple(r.as_implication() for r in gamma)
-    return tuple(gamma)
+    return _minimal_models(opts, gamma, models_at)

@@ -67,7 +67,11 @@ class NotRegular(ValueError):
 
 
 class RewriteBudgetExceeded(RuntimeError):
-    """Distribution grew past the configured node budget."""
+    """Distribution grew past ``MAX_ALTERNATIVES``."""
+
+
+#: Most alternatives one distribution step of :func:`to_regular` may produce.
+MAX_ALTERNATIVES = 100_000
 
 
 class CrossEncoding(Enum):
@@ -256,7 +260,7 @@ def to_nnf_program(p: Program, mode: EvalMode = EvalMode.X5,
 
 
 def to_regular(p: Program, eliminate_head_dneg: bool = False,
-               max_nodes: int = 100_000, trace: Optional[list] = None) -> Program:
+               trace: Optional[list] = None) -> Program:
     """Rewrite an NNF program into regular rules.
 
     Per rule: default negation is pushed down to literals (triple negations
@@ -269,7 +273,8 @@ def to_regular(p: Program, eliminate_head_dneg: bool = False,
     downstream tools that reject ``not`` in heads (the result then leaves the
     strict regular fragment and is exported as ``not not``).
 
-    Distribution can explode; ``max_nodes`` aborts runaway growth.
+    Distribution can explode; more than ``MAX_ALTERNATIVES`` alternatives
+    raise :class:`RewriteBudgetExceeded`.
     """
     _ensure_verified()
     out: List[Rule] = []
@@ -280,8 +285,8 @@ def to_regular(p: Program, eliminate_head_dneg: bool = False,
         where = f"rule {i}"
         body = simplify_constants(_push_dneg(r.body, trace, where))
         head = simplify_constants(_push_dneg(r.head, trace, where))
-        body_alts = _dnf(body, max_nodes, trace, where)
-        head_alts = _cnf(head, max_nodes, trace, where)
+        body_alts = _dnf(body, trace, where)
+        head_alts = _cnf(head, trace, where)
         if not body_alts or not head_alts:
             _note(trace, "drop_trivial_rule", where)
             continue
@@ -358,44 +363,44 @@ def _is_double_dneg(f: Formula) -> bool:
     return isinstance(f, DNeg) and isinstance(f.child, DNeg)
 
 
-def _dnf(f: Formula, max_nodes: int, trace: Optional[list], where: str) -> List[List[Formula]]:
+def _dnf(f: Formula, trace: Optional[list], where: str) -> List[List[Formula]]:
     if isinstance(f, Bot):
         return []
     if isinstance(f, Top):
         return [[]]
     if isinstance(f, Or):
-        return _dnf(f.left, max_nodes, trace, where) + _dnf(f.right, max_nodes, trace, where)
+        return _dnf(f.left, trace, where) + _dnf(f.right, trace, where)
     if isinstance(f, And):
-        left = _dnf(f.left, max_nodes, trace, where)
-        right = _dnf(f.right, max_nodes, trace, where)
+        left = _dnf(f.left, trace, where)
+        right = _dnf(f.right, trace, where)
         if len(left) > 1 and len(right) > 1:
             _note(trace, "dist_and_or", where)
-        _check_budget(len(left) * len(right), max_nodes)
+        _check_budget(len(left) * len(right))
         return [cl + cr for cl in left for cr in right]
     return [[f]]
 
 
-def _cnf(f: Formula, max_nodes: int, trace: Optional[list], where: str) -> List[List[Formula]]:
+def _cnf(f: Formula, trace: Optional[list], where: str) -> List[List[Formula]]:
     if isinstance(f, Top):
         return []
     if isinstance(f, Bot):
         return [[]]
     if isinstance(f, And):
-        return _cnf(f.left, max_nodes, trace, where) + _cnf(f.right, max_nodes, trace, where)
+        return _cnf(f.left, trace, where) + _cnf(f.right, trace, where)
     if isinstance(f, Or):
-        left = _cnf(f.left, max_nodes, trace, where)
-        right = _cnf(f.right, max_nodes, trace, where)
+        left = _cnf(f.left, trace, where)
+        right = _cnf(f.right, trace, where)
         if len(left) > 1 and len(right) > 1:
             _note(trace, "dist_or_and", where)
-        _check_budget(len(left) * len(right), max_nodes)
+        _check_budget(len(left) * len(right))
         return [dl + dr for dl in left for dr in right]
     return [[f]]
 
 
-def _check_budget(n: int, max_nodes: int) -> None:
-    if n > max_nodes:
+def _check_budget(n: int) -> None:
+    if n > MAX_ALTERNATIVES:
         raise RewriteBudgetExceeded(
-            f"distribution produced {n} alternatives, budget is {max_nodes}")
+            f"distribution produced {n} alternatives, budget is {MAX_ALTERNATIVES}")
 
 
 def _dedupe(items: List[Formula]) -> List[Formula]:

@@ -197,6 +197,11 @@ class TestValidAndEquiv:
         assert (code, out) == (2, "")
         assert err == "error: line 1, column 101: nesting too deep\n"
 
+    def test_long_conjunction_chain_exits_3(self, capsys):
+        code, out, err = run(capsys, "valid", " & ".join(["p"] * 3000))
+        assert (code, out) == (3, "")
+        assert err == "error: formula nests too deeply to evaluate\n"
+
     def test_witness_rejected_by_the_reference_exits_4(self, capsys, monkeypatch):
         import eqlx.equivalence
         from eqlx import FiveValue
@@ -246,6 +251,17 @@ class TestTransformCommands:
         code, _, err = run(capsys, "nnf", "~" * 3000 + "p")
         assert code == 2
         assert "nesting too deep" in err
+
+    def test_nnf_long_disjunction_chain_exits_3(self, capsys):
+        code, out, err = run(capsys, "nnf", " | ".join(["~(p & q)"] * 2000))
+        assert (code, out) == (3, "")
+        assert err.startswith("error:")
+
+    def test_regular_over_budget_exits_3(self, tmp_path, capsys):
+        wide = " & ".join(f"(a{i} | b{i})" for i in range(17)) + " -> c.\n"
+        code, out, err = run(capsys, "regular", write(tmp_path, "wide.x5", wide))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: distribution produced")
 
     def test_nnf_n5_mode(self, capsys):
         code, out, _ = run(capsys, "nnf", "~ not p -> p", "--mode", "n5")

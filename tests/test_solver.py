@@ -1,22 +1,31 @@
+import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from conftest import programs
+from conftest import ATOMS, formulas, programs
 from genutil import random_program
 from eqlx import (
+    BOT,
+    And,
     Atom,
+    AtomRef,
     Interpretation,
     NotExplicit,
+    Or,
     Program,
     Rule,
     SignatureTooLarge,
     SolveOptions,
     TOP,
+    Theory,
     X5Interpretation,
+    XNeg,
     answer_sets,
     atom,
+    atoms,
     enumerate_interpretations,
     enumerate_x5,
     equilibrium_models,
@@ -25,7 +34,10 @@ from eqlx import (
     parse_interpretation,
     parse_program,
     parse_theory,
+    reduct_program,
 )
+from eqlx.reduct import ferraris_theory
+from eqlx.semantics import _nsat, _sat
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -184,3 +196,108 @@ class TestSignatureExtension:
         assert opts == SolveOptions(signature=frozenset({Q}))
         assert SolveOptions(signature=[Q, Q]) == opts
         assert SolveOptions().signature is None
+
+
+# ---------------------------------------------------------------------------
+# Reference: each engine as its own loop, with minimal_models_explicit taking
+# the minimal ones among all models.
+
+
+def _ref_candidates(opts, gamma):
+    sig = atoms(gamma) | (opts.signature or set())
+    return enumerate_interpretations(sig, opts.max_atoms)
+
+
+def _ref_strict_subsets(t):
+    lits = sorted(t.literals)
+    for k in range(len(lits)):
+        for combo in itertools.combinations(lits, k):
+            yield frozenset(combo)
+
+
+def _ref_rule_wise(t, rules):
+    return all((not _nsat(t, r.body)) or _nsat(t, r.head) for r in rules)
+
+
+def _ref_minimal_models_explicit(p, opts):
+    rules = tuple(p)
+    models = [t for t in _ref_candidates(opts, p) if _ref_rule_wise(t.literals, rules)]
+    model_sets = [m.literals for m in models]
+    return [m for m in models if not any(other < m.literals for other in model_sets)]
+
+
+def _ref_answer_sets(p, opts):
+    def is_answer_set(t):
+        rules = tuple(reduct_program(p, t))
+        if not _ref_rule_wise(t.literals, rules):
+            return False
+        return not any(_ref_rule_wise(s, rules) for s in _ref_strict_subsets(t))
+
+    return [t for t in _ref_candidates(opts, p) if is_answer_set(t)]
+
+
+def _ref_formulas(gamma):
+    if isinstance(gamma, Program):
+        return tuple(r.as_implication() for r in gamma)
+    return tuple(gamma)
+
+
+def _ref_equilibrium_models(gamma, opts):
+    formulas = _ref_formulas(gamma)
+
+    def in_equilibrium(t):
+        tl = t.literals
+        if not all(_sat(tl, tl, f) for f in formulas):
+            return False
+        return not any(all(_sat(h, tl, f) for f in formulas)
+                       for h in _ref_strict_subsets(t))
+
+    return [t for t in _ref_candidates(opts, gamma) if in_equilibrium(t)]
+
+
+def _ref_equilibrium_models_ferraris(gamma, opts):
+    formulas = _ref_formulas(gamma)
+
+    def in_equilibrium(t):
+        reduced = ferraris_theory(formulas, t)
+        tl = t.literals
+        if not all(_sat(tl, tl, f) for f in reduced):
+            return False
+        return not any(all(_sat(h, h, f) for f in reduced)
+                       for h in _ref_strict_subsets(t))
+
+    return [t for t in _ref_candidates(opts, gamma) if in_equilibrium(t)]
+
+
+explicit_formulas = st.recursive(
+    st.sampled_from([AtomRef(a) for a in ATOMS] + [BOT, TOP]),
+    lambda ch: st.one_of(st.builds(XNeg, ch), st.builds(And, ch, ch),
+                         st.builds(Or, ch, ch)),
+    max_leaves=6)
+explicit_programs = st.builds(
+    Program, st.lists(st.builds(Rule, explicit_formulas, explicit_formulas), max_size=3))
+theories = st.builds(Theory, st.lists(formulas, max_size=3))
+solve_options = st.sampled_from([SolveOptions(), SolveOptions(signature={Atom("z")})])
+
+
+class TestSharedScanMatchesSeparateLoops:
+    @given(programs, solve_options)
+    @example(parse_program("p | not p."), SolveOptions())
+    @settings(max_examples=150)
+    def test_programs(self, prog, opts):
+        assert answer_sets(prog, opts) == _ref_answer_sets(prog, opts)
+        assert equilibrium_models(prog, opts) == _ref_equilibrium_models(prog, opts)
+        assert equilibrium_models_ferraris(prog, opts) == \
+            _ref_equilibrium_models_ferraris(prog, opts)
+
+    @given(theories, solve_options)
+    @settings(max_examples=150)
+    def test_theories(self, theory, opts):
+        assert equilibrium_models(theory, opts) == _ref_equilibrium_models(theory, opts)
+        assert equilibrium_models_ferraris(theory, opts) == \
+            _ref_equilibrium_models_ferraris(theory, opts)
+
+    @given(explicit_programs, solve_options)
+    @settings(max_examples=150)
+    def test_explicit_programs(self, prog, opts):
+        assert minimal_models_explicit(prog, opts) == _ref_minimal_models_explicit(prog, opts)

@@ -161,9 +161,10 @@ class TestRegularization:
         assert atoms(got) == {Q}
 
     def test_budget_guard(self):
-        wide = " & ".join(f"(a{i} | b{i})" for i in range(10)) + " -> c."
+        # 2^17 body alternatives exceed the budget of 100 000
+        wide = " & ".join(f"(a{i} | b{i})" for i in range(17)) + " -> c."
         with pytest.raises(RewriteBudgetExceeded):
-            to_regular(parse_program(wide), max_nodes=256)
+            to_regular(parse_program(wide))
 
     @given(programs)
     @settings(max_examples=80)
