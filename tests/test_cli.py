@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from eqlx.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -114,11 +116,16 @@ class TestSolve:
 
 
 class TestEval:
-    def test_json_golden(self, capsys):
-        code, out, _ = run(capsys, "eval", "not not p -> p",
-                           "--model", "{p}", "--json")
-        assert code == 0
-        check_golden(out, "eval_double_negation.json")
+    @pytest.mark.parametrize("extra, golden", [
+        ((), "eval_double_negation.json"),
+        (("--here", "{}", "--mode", "n5"), "eval_n5.json"),
+        (("--here", "{}", "--mode", "classical"), "eval_classical.json"),
+    ])
+    def test_json_golden(self, capsys, extra, golden):
+        code, out, err = run(capsys, "eval", "not not p -> p",
+                             "--model", "{p}", *extra, "--json")
+        assert (code, err) == (0, "")
+        check_golden(out, golden)
 
     def test_split_worlds(self, capsys):
         code, out, _ = run(capsys, "eval", "not not p -> p",
@@ -313,3 +320,32 @@ class TestTables:
         code, out, _ = run(capsys, "tables")
         assert code == 0
         assert "    & |  -2  -1   0   1   2" in out
+
+
+class TestGolden:
+    """Exact stdout of every command whose output no other test pins whole;
+    ``.json`` goldens are compared as envelopes, the others as text."""
+
+    CASES = [
+        ("tables_x5.txt", ["tables"]),
+        ("tables_n5.txt", ["tables", "--mode", "n5"]),
+        ("tables_x5.json", ["tables", "--json"]),
+        ("tables_n5.json", ["tables", "--mode", "n5", "--json"]),
+        ("reduct_nested.json", ["reduct", "--wrt", "{}", "EXAMPLE1", "--json"]),
+        ("reduct_ferraris.json", ["reduct", "--wrt", "{~bird}", "RULE2", "--ferraris", "--json"]),
+        ("nnf.json", ["nnf", "~(p & not p) | ~(q -> ~r)", "--json"]),
+        ("regular.json", ["regular", "RULE2", "--json"]),
+        ("export.json", ["export", "RULE2", "--no-head-not", "--json"]),
+        ("context.txt", ["context", "p | ~q", "not not p | ~q"]),
+    ]
+
+    @pytest.mark.parametrize("golden, argv", CASES, ids=[c[0] for c in CASES])
+    def test_output(self, tmp_path, capsys, golden, argv):
+        files = {"EXAMPLE1": write(tmp_path, "ex1.x5", EXAMPLE1),
+                 "RULE2": write(tmp_path, "r2.x5", RULE2)}
+        code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+        assert (code, err) == (0, "")
+        if golden.endswith(".json"):
+            check_golden(out, golden)
+        else:
+            assert out == (DATA / golden).read_text(encoding="utf-8")
