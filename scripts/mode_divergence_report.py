@@ -6,6 +6,9 @@ atoms), evaluates both modes at every interpretation over the formula's
 atoms and prints the assignments where the five-valued results differ,
 followed by the verdicts of the two equivalence relations between the
 formula and its own negation normal forms.
+
+Exit codes: 0 after the report, 2 when the formula does not parse, 3 when it
+has more atoms than the enumeration guard allows.
 """
 
 import argparse
@@ -13,6 +16,8 @@ import sys
 
 from eqlx import (
     EvalMode,
+    ParseError,
+    SignatureTooLarge,
     atoms,
     canonical_print,
     enumerate_x5,
@@ -28,8 +33,18 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("expr", nargs="?", default="p -> q")
     args = ap.parse_args()
+    try:
+        report(parse_formula(args.expr))
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SignatureTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
-    f = parse_formula(args.expr)
+
+def report(f) -> None:
     sig = sorted(atoms(f))
     print(f"formula: {canonical_print(f)}")
 
@@ -52,7 +67,6 @@ def main() -> int:
           weak_equiv(f, x5_normal).equivalent)
     print("substitution-equivalent to its x5 normal form:",
           subst_equiv(f, x5_normal).equivalent)
-    return 0
 
 
 if __name__ == "__main__":

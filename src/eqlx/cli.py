@@ -5,20 +5,25 @@ Results go to stdout, diagnostics and rule traces to stderr.  Exit codes:
 2 usage or parse error, 3 resource guard tripped (including a formula that
 nests too deeply to evaluate, such as a chain of thousands of ``&`` or
 ``|``), 4 internal inconsistency (two routes that must agree did not; a bug
-in eqlx).
+in eqlx).  ``_EXIT_CODES`` maps each exception to its code.
+
+Every subcommand is one entry of ``_COMMANDS``: its name, help, handler and
+arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .core import (
     TOP,
     And,
     Atom,
+    AtomRef,
     DNeg,
     Impl,
     Or,
@@ -40,7 +45,13 @@ from .equivalence import (
     subst_equiv,
     weak_equiv,
 )
-from .parser import ParseError, _tokenize, parse_formula, parse_interpretation, parse_theory
+from .parser import (
+    _tokenize,  # noqa: F401  bench/tracing.py wraps this module binding
+    parse_formula,
+    parse_interpretation,
+    parse_lines,
+    parse_theory,
+)
 from .reduct import ferraris_minus, ferraris_plus, reduct_program, simplify_constants
 from .semantics import EvalMode, classical_sat, value5, x5_fals, x5_sat
 from .solver import (
@@ -69,80 +80,6 @@ class _UsageError(ValueError):
     pass
 
 
-def _global_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--signature", default=None,
-                     help="comma-separated atoms added to the signature")
-    sub.add_argument("--max-atoms", type=int, default=12,
-                     help="refuse enumeration above this many atoms")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eqlx",
-        description="workbench for equilibrium logic with explicit negation")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("solve", help="answer sets / equilibrium models of a file")
-    p.add_argument("file")
-    p.add_argument("--via", choices=["reduct", "x5", "ferraris"], default=None)
-    _global_flags(p)
-
-    p = subs.add_parser("eval", help="evaluate a formula at an interpretation")
-    p.add_argument("expr")
-    p.add_argument("--model", required=True, help="there world, e.g. '{p, ~q}'")
-    p.add_argument("--here", default=None, help="here world, defaults to the model")
-    p.add_argument("--mode", choices=sorted(_MODES), default="x5")
-    _global_flags(p)
-
-    p = subs.add_parser("reduct", help="reduct of a file w.r.t. an interpretation")
-    p.add_argument("file")
-    p.add_argument("--wrt", required=True, help="reference interpretation")
-    p.add_argument("--ferraris", action="store_true",
-                   help="dual reduct of arbitrary formulas instead")
-    _global_flags(p)
-
-    p = subs.add_parser("valid", help="check validity of a formula")
-    p.add_argument("expr")
-    _global_flags(p)
-
-    p = subs.add_parser("equiv", help="check an equivalence relation")
-    p.add_argument("relation", choices=["weak", "subst"])
-    p.add_argument("left")
-    p.add_argument("right")
-    _global_flags(p)
-
-    p = subs.add_parser("context", help="synthesise a discriminating theory")
-    p.add_argument("left")
-    p.add_argument("right")
-    _global_flags(p)
-
-    p = subs.add_parser("nnf", help="negation normal form of a formula")
-    p.add_argument("expr")
-    p.add_argument("--mode", choices=["x5", "n5"], default="x5")
-    p.add_argument("--rule-trace", action="store_true",
-                   help="log every rewrite application to stderr")
-    _global_flags(p)
-
-    p = subs.add_parser("regular", help="rewrite a program into regular rules")
-    p.add_argument("file")
-    p.add_argument("--no-head-not", action="store_true",
-                   help="shift default-negated head literals into the body")
-    p.add_argument("--rule-trace", action="store_true")
-    _global_flags(p)
-
-    p = subs.add_parser("export", help="regularize and print solver syntax")
-    p.add_argument("file")
-    p.add_argument("--no-head-not", action="store_true")
-    _global_flags(p)
-
-    p = subs.add_parser("tables", help="print the five-valued truth tables")
-    p.add_argument("--mode", choices=["x5", "n5"], default="x5")
-    _global_flags(p)
-
-    return parser
-
-
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
@@ -161,18 +98,27 @@ def _options(args) -> SolveOptions:
                         max_atoms=args.max_atoms)
 
 
-def _load_theory(path: str) -> Theory:
-    """Read a statement file; files without '.' are one formula per line."""
+def _load_file(path: str, require: str = "") -> Tuple[Theory, Optional[Program]]:
+    """Read a statement file: its theory, and the program it is, if it is one.
+
+    A file with a ``.`` outside a ``%`` comment holds ``FORMULA.`` statements;
+    any other file is in line mode, one formula per non-empty line.  The file
+    is a program when every member is a rule of nested expressions or a
+    nested expression (a fact).  A file that is not one is a usage error with
+    the message ``require``, if that is given.
+    """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    if any(tok.kind == "." for tok in _tokenize(text)):
-        return parse_theory(text)
-    formulas = []
-    for line in text.splitlines():
-        stripped = line.split("%", 1)[0].strip()
-        if stripped:
-            formulas.append(parse_formula(stripped))
-    return Theory(formulas)
+    theory = parse_theory(text) if _has_statements(text) else parse_lines(text)
+    program = _as_program(theory)
+    if program is None and require:
+        raise _UsageError(require)
+    return theory, program
+
+
+def _has_statements(text: str) -> bool:
+    """Is there a ``.`` outside a ``%`` comment, that is, a ``.`` token?"""
+    return any("." in line.split("%", 1)[0] for line in text.split("\n"))
 
 
 def _as_program(theory: Theory) -> Optional[Program]:
@@ -199,11 +145,11 @@ def _witness_text(w: X5Interpretation, signature) -> str:
     return ", ".join(f"{a}={w.value_of(a)}" for a in sorted(signature))
 
 
-def _emit(args, command: str, result, witness=None, engine_agreement=None,
+def _emit(args, result, witness=None, engine_agreement=None,
           text_lines: Sequence[str] = ()) -> None:
     if args.json:
         envelope = {
-            "command": command,
+            "command": args.command,
             "result": result,
             "witness": witness,
             "engine_agreement": engine_agreement,
@@ -214,17 +160,20 @@ def _emit(args, command: str, result, witness=None, engine_agreement=None,
             print(line)
 
 
+def _print_trace(trace: Optional[List[str]]) -> None:
+    for entry in trace or ():
+        print(entry, file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
 
 def _cmd_solve(args) -> int:
-    theory = _load_theory(args.file)
-    program = _as_program(theory)
+    theory, program = _load_file(
+        args.file, "--via reduct requires a program (rules of nested expressions)"
+        if args.via == "reduct" else "")
     opts = _options(args)
-
-    if args.via == "reduct" and program is None:
-        raise _UsageError("--via reduct requires a program (rules of nested expressions)")
 
     if args.via:
         engine_names = [args.via]
@@ -256,7 +205,7 @@ def _cmd_solve(args) -> int:
         "models": [[str(l) for l in m] for m in first],
         "engines": engine_names,
     }
-    _emit(args, "solve", result, engine_agreement=agreement,
+    _emit(args, result, engine_agreement=agreement,
           text_lines=[str(m) for m in first])
     if not first:
         print("no models", file=sys.stderr)
@@ -275,93 +224,76 @@ def _cmd_eval(args) -> int:
         satisfied = classical_sat(m, f)
         result = {"mode": "classical", "value": None, "sat": satisfied, "fals": None}
         lines = [f"sat: {str(satisfied).lower()}"]
-    elif mode is EvalMode.X5:
-        v = int(value5(m, f))
-        satisfied, falsified = x5_sat(m, f), x5_fals(m, f)
-        result = {"mode": "x5", "value": v, "sat": satisfied, "fals": falsified}
-        lines = [f"value: {v}",
-                 f"sat: {str(satisfied).lower()}",
-                 f"fals: {str(falsified).lower()}"]
     else:
-        v = int(value5(m, f, EvalMode.N5))
-        satisfied, falsified = v == 2, v == -2
-        result = {"mode": "n5", "value": v, "sat": satisfied, "fals": falsified}
+        v = int(value5(m, f, mode))
+        if mode is EvalMode.X5:
+            satisfied, falsified = x5_sat(m, f), x5_fals(m, f)
+        else:
+            satisfied, falsified = v == 2, v == -2
+        result = {"mode": args.mode, "value": v, "sat": satisfied, "fals": falsified}
         lines = [f"value: {v}",
                  f"sat: {str(satisfied).lower()}",
                  f"fals: {str(falsified).lower()}"]
-    _emit(args, "eval", result, text_lines=lines)
+    _emit(args, result, text_lines=lines)
     return 0
 
 
 def _cmd_reduct(args) -> int:
     wrt = parse_interpretation(args.wrt)
-    theory = _load_theory(args.file)
+    theory, program = _load_file(
+        args.file, "" if args.ferraris
+        else "the nested reduct requires a program; use --ferraris for theories")
     if args.ferraris:
         entries = []
-        for f in theory:
-            plus = simplify_constants(ferraris_plus(f, wrt))
-            minus = simplify_constants(ferraris_minus(f, wrt))
-            entries.append({"input": canonical_print(f),
-                            "plus": canonical_print(plus),
-                            "minus": canonical_print(minus)})
         lines = []
-        for e in entries:
-            lines.append(f"+ {e['plus']}")
-            lines.append(f"- {e['minus']}")
-        _emit(args, "reduct", {"kind": "ferraris", "formulas": entries},
-              text_lines=lines)
+        for f in theory:
+            plus = canonical_print(simplify_constants(ferraris_plus(f, wrt)))
+            minus = canonical_print(simplify_constants(ferraris_minus(f, wrt)))
+            entries.append({"input": canonical_print(f), "plus": plus, "minus": minus})
+            lines += [f"+ {plus}", f"- {minus}"]
+        _emit(args, {"kind": "ferraris", "formulas": entries}, text_lines=lines)
         return 0
-    program = _as_program(theory)
-    if program is None:
-        raise _UsageError("the nested reduct requires a program; use --ferraris for theories")
-    reduced = reduct_program(program, wrt)
-    simplified = Program(Rule(simplify_constants(r.body), simplify_constants(r.head))
-                         for r in reduced)
-    rule_lines = [canonical_print(r) for r in simplified]
-    _emit(args, "reduct", {"kind": "nested", "rules": rule_lines},
-          text_lines=rule_lines)
+    rule_lines = [canonical_print(Rule(simplify_constants(r.body), simplify_constants(r.head)))
+                  for r in reduct_program(program, wrt)]
+    _emit(args, {"kind": "nested", "rules": rule_lines}, text_lines=rule_lines)
     return 0
+
+
+def _report(args, verdict, opts: SolveOptions, label: str, result: dict,
+            **formulas) -> int:
+    """Print a validity or equivalence verdict.  A refuted one exits 1 and
+    shows the witness and, under each key of ``formulas``, that formula's
+    value at it."""
+    if verdict.equivalent:
+        _emit(args, result, text_lines=[label])
+        return 0
+    w = verdict.witness
+    sig = _effective_signature(opts, *formulas.values())
+    result.update((key, int(value5(w, f))) for key, f in formulas.items())
+    values = " vs ".join(str(result[key]) for key in formulas)
+    _emit(args, result, witness=_witness_payload(w, sig),
+          text_lines=[f"not {label}", f"witness: {_witness_text(w, sig)} : {values}"])
+    return 1
 
 
 def _cmd_valid(args) -> int:
     f = parse_formula(args.expr)
     opts = _options(args)
     verdict = is_valid(f, opts)
-    sig = _effective_signature(opts, f)
-    if verdict.equivalent:
-        _emit(args, "valid", {"valid": True, "formula": canonical_print(f)},
-              text_lines=["valid"])
-        return 0
-    w = verdict.witness
-    v = int(value5(w, f))
-    _emit(args, "valid", {"valid": False, "formula": canonical_print(f), "value": v},
-          witness=_witness_payload(w, sig),
-          text_lines=["not valid", f"witness: {_witness_text(w, sig)} : {v}"])
-    return 1
+    return _report(args, verdict, opts, "valid",
+                   {"valid": verdict.equivalent, "formula": canonical_print(f)}, value=f)
 
 
 def _cmd_equiv(args) -> int:
     left = parse_formula(args.left)
     right = parse_formula(args.right)
     opts = _options(args)
-    check = weak_equiv if args.relation == "weak" else subst_equiv
-    verdict = check(left, right, opts)
-    label = "weakly equivalent" if args.relation == "weak" else "substitution-equivalent"
-    sig = _effective_signature(opts, left, right)
-    if verdict.equivalent:
-        _emit(args, "equiv",
-              {"relation": args.relation, "equivalent": True},
-              text_lines=[label])
-        return 0
-    w = verdict.witness
-    lv, rv = int(value5(w, left)), int(value5(w, right))
-    detail = f"{_witness_text(w, sig)} : {lv} vs {rv}"
-    _emit(args, "equiv",
-          {"relation": args.relation, "equivalent": False,
-           "left_value": lv, "right_value": rv},
-          witness=_witness_payload(w, sig),
-          text_lines=[f"not {label}", f"witness: {detail}"])
-    return 1
+    weak = args.relation == "weak"
+    verdict = (weak_equiv if weak else subst_equiv)(left, right, opts)
+    return _report(args, verdict, opts,
+                   "weakly equivalent" if weak else "substitution-equivalent",
+                   {"relation": args.relation, "equivalent": verdict.equivalent},
+                   left_value=left, right_value=right)
 
 
 def _cmd_context(args) -> int:
@@ -370,8 +302,7 @@ def _cmd_context(args) -> int:
     opts = _options(args)
     verdict = discriminating_context(left, right, opts)
     sig = _effective_signature(opts, left, right)
-    delta = verdict.context
-    delta_rules = [canonical_print(Rule(f.left, f.right)) for f in delta]
+    delta_rules = [canonical_print(Rule(f.left, f.right)) for f in verdict.context]
     with_left, with_right = verdict.context_models
 
     def fmt(models) -> str:
@@ -379,157 +310,181 @@ def _cmd_context(args) -> int:
 
     lines = [f"witness: {_witness_text(verdict.witness, sig)}",
              f"satisfies: {verdict.satisfied_side}",
-             "context:"]
-    lines.extend(delta_rules)
-    lines.append(f"equilibrium models with left: {fmt(with_left)}")
-    lines.append(f"equilibrium models with right: {fmt(with_right)}")
+             "context:",
+             *delta_rules,
+             f"equilibrium models with left: {fmt(with_left)}",
+             f"equilibrium models with right: {fmt(with_right)}"]
     result = {
         "satisfied_side": verdict.satisfied_side,
         "context": delta_rules,
         "equilibrium_models_left": [[str(l) for l in m] for m in with_left],
         "equilibrium_models_right": [[str(l) for l in m] for m in with_right],
     }
-    _emit(args, "context", result,
-          witness=_witness_payload(verdict.witness, sig), text_lines=lines)
+    _emit(args, result, witness=_witness_payload(verdict.witness, sig), text_lines=lines)
     return 0
 
 
 def _cmd_nnf(args) -> int:
     f = parse_formula(args.expr)
     trace: Optional[List[str]] = [] if args.rule_trace else None
-    out = to_nnf(f, _MODES[args.mode], trace=trace)
-    if trace:
-        for entry in trace:
-            print(entry, file=sys.stderr)
-    _emit(args, "nnf", {"mode": args.mode, "formula": canonical_print(out)},
-          text_lines=[canonical_print(out)])
+    out = canonical_print(to_nnf(f, _MODES[args.mode], trace=trace))
+    _print_trace(trace)
+    _emit(args, {"mode": args.mode, "formula": out}, text_lines=[out])
     return 0
 
 
+def _regularize(args, require: str, trace: Optional[List[str]] = None) -> Program:
+    """The file's program in negation normal form, then in regular rules."""
+    _, program = _load_file(args.file, require)
+    return to_regular(to_nnf_program(program, trace=trace),
+                      eliminate_head_dneg=args.no_head_not, trace=trace)
+
+
 def _cmd_regular(args) -> int:
-    theory = _load_theory(args.file)
-    program = _as_program(theory)
-    if program is None:
-        raise _UsageError("regularization requires a program")
     trace: Optional[List[str]] = [] if args.rule_trace else None
-    normal = to_nnf_program(program, trace=trace)
-    regular = to_regular(normal, eliminate_head_dneg=args.no_head_not, trace=trace)
-    if trace:
-        for entry in trace:
-            print(entry, file=sys.stderr)
+    regular = _regularize(args, "regularization requires a program", trace)
+    _print_trace(trace)
     rule_lines = [canonical_print(r) for r in regular]
-    _emit(args, "regular", {"rules": rule_lines}, text_lines=rule_lines)
+    _emit(args, {"rules": rule_lines}, text_lines=rule_lines)
     return 0
 
 
 def _cmd_export(args) -> int:
-    theory = _load_theory(args.file)
-    program = _as_program(theory)
-    if program is None:
-        raise _UsageError("export requires a program")
-    regular = to_regular(to_nnf_program(program),
-                         eliminate_head_dneg=args.no_head_not)
-    text = export_asp(regular)
-    _emit(args, "export", {"text": text},
-          text_lines=text.splitlines())
+    text = export_asp(_regularize(args, "export requires a program"))
+    _emit(args, {"text": text}, text_lines=text.splitlines())
     return 0
 
 
 _TABLE_VALUES = (-2, -1, 0, 1, 2)
 
 
-def _binary_table(build, mode: EvalMode) -> list:
-    p, q = atom("p"), atom("q")
-    f = build(p, q)
-    rows = []
-    for a in _TABLE_VALUES:
-        row = []
-        for b in _TABLE_VALUES:
-            m = X5Interpretation.from_values({p.atom: a, q.atom: b})
-            row.append(int(value5(m, f, mode)))
-        rows.append(row)
-    return rows
-
-
-def _unary_table(build, mode: EvalMode) -> list:
-    p = atom("p")
-    f = build(p)
-    out = []
-    for a in _TABLE_VALUES:
-        m = X5Interpretation.from_values({p.atom: a})
-        out.append(int(value5(m, f, mode)))
-    return out
+def _table(build, args: Sequence[AtomRef], mode: EvalMode) -> list:
+    """Values of the connective ``build`` at each assignment of the five
+    values to ``args``: a column for one argument, one row per value of the
+    first argument for two."""
+    f = build(*args)
+    keys = [a.atom for a in args]
+    cells = [int(value5(X5Interpretation.from_values(dict(zip(keys, values))), f, mode))
+             for values in itertools.product(_TABLE_VALUES, repeat=len(keys))]
+    if len(keys) == 1:
+        return cells
+    width = len(_TABLE_VALUES)
+    return [cells[i:i + width] for i in range(0, len(cells), width)]
 
 
 def _cmd_tables(args) -> int:
     mode = _MODES[args.mode]
-    binary = [("&", lambda a, b: And(a, b)),
-              ("|", lambda a, b: Or(a, b)),
-              ("->", lambda a, b: Impl(a, b)),
-              ("<->", iff),
-              ("<=>", strong_iff)]
+    p, q = atom("p"), atom("q")
+    binary = [("&", And), ("|", Or), ("->", Impl), ("<->", iff), ("<=>", strong_iff)]
     unary = [("~", XNeg), ("not", DNeg)]
 
     tables = {}
     lines = []
     for name, build in binary:
-        rows = _binary_table(build, mode)
-        tables[name] = rows
+        rows = tables[name] = _table(build, (p, q), mode)
         lines.append(f"{name:>5} | " + " ".join(f"{v:>3}" for v in _TABLE_VALUES))
         lines.append("-" * 6 + "+" + "-" * 20)
         for a, row in zip(_TABLE_VALUES, rows):
             lines.append(f"{a:>5} | " + " ".join(f"{v:>3}" for v in row))
         lines.append("")
     for name, build in unary:
-        column = _unary_table(build, mode)
-        tables[name] = column
+        column = tables[name] = _table(build, (p,), mode)
         lines.append(f"  phi | {name}")
         lines.append("-" * 6 + "+" + "-" * max(4, len(name) + 2))
         for a, v in zip(_TABLE_VALUES, column):
             lines.append(f"{a:>5} | {v:>3}")
         lines.append("")
-    _emit(args, "tables", {"mode": args.mode, "tables": tables},
-          text_lines=lines[:-1])
+    _emit(args, {"mode": args.mode, "tables": tables}, text_lines=lines[:-1])
     return 0
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "eval": _cmd_eval,
-    "reduct": _cmd_reduct,
-    "valid": _cmd_valid,
-    "equiv": _cmd_equiv,
-    "context": _cmd_context,
-    "nnf": _cmd_nnf,
-    "regular": _cmd_regular,
-    "export": _cmd_export,
-    "tables": _cmd_tables,
-}
+# ---------------------------------------------------------------------------
+# The command table and its parser
+
+
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
+
+
+_FILE = _arg("file")
+_MODE = _arg("--mode", choices=["x5", "n5"], default="x5")
+
+# name, help, handler, arguments; every command also takes _GLOBAL_FLAGS.
+_COMMANDS = (
+    ("solve", "answer sets / equilibrium models of a file", _cmd_solve, [
+        _FILE,
+        _arg("--via", choices=["reduct", "x5", "ferraris"], default=None)]),
+    ("eval", "evaluate a formula at an interpretation", _cmd_eval, [
+        _arg("expr"),
+        _arg("--model", required=True, help="there world, e.g. '{p, ~q}'"),
+        _arg("--here", default=None, help="here world, defaults to the model"),
+        _arg("--mode", choices=sorted(_MODES), default="x5")]),
+    ("reduct", "reduct of a file w.r.t. an interpretation", _cmd_reduct, [
+        _FILE,
+        _arg("--wrt", required=True, help="reference interpretation"),
+        _arg("--ferraris", action="store_true",
+             help="dual reduct of arbitrary formulas instead")]),
+    ("valid", "check validity of a formula", _cmd_valid, [_arg("expr")]),
+    ("equiv", "check an equivalence relation", _cmd_equiv, [
+        _arg("relation", choices=["weak", "subst"]), _arg("left"), _arg("right")]),
+    ("context", "synthesise a discriminating theory", _cmd_context, [
+        _arg("left"), _arg("right")]),
+    ("nnf", "negation normal form of a formula", _cmd_nnf, [
+        _arg("expr"),
+        _MODE,
+        _arg("--rule-trace", action="store_true",
+             help="log every rewrite application to stderr")]),
+    ("regular", "rewrite a program into regular rules", _cmd_regular, [
+        _FILE,
+        _arg("--no-head-not", action="store_true",
+             help="shift default-negated head literals into the body"),
+        _arg("--rule-trace", action="store_true")]),
+    ("export", "regularize and print solver syntax", _cmd_export, [
+        _FILE, _arg("--no-head-not", action="store_true")]),
+    ("tables", "print the five-valued truth tables", _cmd_tables, [_MODE]),
+)
+
+_GLOBAL_FLAGS = [
+    _arg("--signature", default=None, help="comma-separated atoms added to the signature"),
+    _arg("--max-atoms", type=int, default=12, help="refuse enumeration above this many atoms"),
+    _arg("--json", action="store_true", help="machine-readable output"),
+]
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="eqlx",
+        description="workbench for equilibrium logic with explicit negation")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, summary, handler, arguments in _COMMANDS:
+        sub = subs.add_parser(name, help=summary)
+        for flags, options in arguments + _GLOBAL_FLAGS:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(handler=handler)
+    return parser
+
+
+# The exit code of each exception that ends a command; the first match wins.
+_EXIT_CODES = (
+    (SignatureTooLarge, 3),
+    (RewriteBudgetExceeded, 3),
+    (RecursionError, 3),
+    (EquivalentFormulas, 1),
+    (InternalInconsistency, 4),
+    (ValueError, 2),  # ParseError, _UsageError and rejected inputs
+    (OSError, 2),
+)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (SignatureTooLarge, RewriteBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RecursionError:
-        print("error: formula nests too deeply to evaluate", file=sys.stderr)
-        return 3
-    except EquivalentFormulas as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InternalInconsistency as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ParseError, _UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.handler(args)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+        message = ("formula nests too deeply to evaluate"
+                   if isinstance(exc, RecursionError) else exc)
+        print(f"error: {message}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

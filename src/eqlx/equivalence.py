@@ -117,9 +117,7 @@ def is_valid(phi: Formula, opts: Optional[SolveOptions] = None) -> EquivVerdict:
 def weak_equiv(alpha: Formula, beta: Formula,
                opts: Optional[SolveOptions] = None) -> EquivVerdict:
     """Validity of the double implication; decides theory-level strong equivalence."""
-    target = iff(alpha, beta)
-    return _decide(opts, lambda t: t.full ^ t.designated(target),
-                   lambda m: not value5(m, target).designated, alpha, beta)
+    return is_valid(iff(alpha, beta), opts)
 
 
 def subst_equiv(alpha: Formula, beta: Formula,

@@ -4,11 +4,14 @@ The surface syntax is ASCII: ``bot``, ``top``, ``~`` (explicit negation),
 ``not`` or ``!`` (default negation), ``&``, ``|``, ``->`` and the expanding
 abbreviations ``<->`` and ``<=>``.  Unicode spellings of the connectives are
 accepted on input but never emitted.  ``%`` starts a line comment.  Programs
-and theories are sequences of statements terminated by ``.``.
+and theories are sequences of statements terminated by ``.``; a text with no
+``.`` outside a comment can be read one formula per line (``parse_lines``).
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -36,6 +39,7 @@ __all__ = [
     "SourceSpan",
     "ParseError",
     "parse_formula",
+    "parse_lines",
     "parse_theory",
     "parse_program",
     "parse_interpretation",
@@ -82,74 +86,39 @@ class _Token:
     span: SourceSpan
 
 
+# One alternative per lexeme; whitespace and comments match no named group.
+_LEXEME = re.compile(r"""
+    (?P<newline>\n) | [ \t\r]+ | %[^\n]*
+  | (?P<op><->|<=>|->|[~&|(){},.]) | (?P<bang>!)
+  | (?P<alias>[""" + "".join(_UNICODE_ALIASES) + r"""]) | (?P<word>\w+) | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+
+
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def emit(kind: str, tok_text: str, length: Optional[int] = None):
-        tokens.append(_Token(kind, tok_text, SourceSpan(line, col, length or len(tok_text))))
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch in _UNICODE_ALIASES:
-            alias = _UNICODE_ALIASES[ch]
-            emit(alias, alias, length=1)
-            col += 1
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            emit("<->", "<->")
-            col += 3
-            i += 3
-            continue
-        if text.startswith("<=>", i):
-            emit("<=>", "<=>")
-            col += 3
-            i += 3
-            continue
-        if text.startswith("->", i):
-            emit("->", "->")
-            col += 2
-            i += 2
-            continue
-        if ch in "~&|(){},.":
-            emit(ch, ch)
-            col += 1
-            i += 1
-            continue
-        if ch == "!":
-            emit("not", "!")
-            col += 1
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "atom"
-            emit(kind, word)
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"lexical error: unexpected character {ch!r}",
-                         SourceSpan(line, col, 1))
-    tokens.append(_Token("EOF", "", SourceSpan(line, col, 1)))
+        lexeme = m.group()
+        span = SourceSpan(line, m.start() - line_start + 1, len(lexeme))
+        if kind == "op":
+            tokens.append(_Token(lexeme, lexeme, span))
+        elif kind == "bang":
+            tokens.append(_Token("not", lexeme, span))
+        elif kind == "alias":
+            alias = _UNICODE_ALIASES[lexeme]
+            tokens.append(_Token(alias, alias, span))
+        elif kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            tokens.append(_Token(lexeme if lexeme in _KEYWORDS else "atom", lexeme, span))
+        else:  # a stray character, or a word that starts with a digit such as 2 or ²
+            raise ParseError(f"lexical error: unexpected character {lexeme[0]!r}",
+                             SourceSpan(span.line, span.column, 1))
+    tokens.append(_Token("EOF", "", SourceSpan(line, len(text) - line_start + 1, 1)))
     return tokens
 
 
@@ -159,8 +128,8 @@ _MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: List[_Token]):
+        self.tokens = tokens
         self.pos = 0
         self.depth = 0
 
@@ -309,17 +278,37 @@ class _Parser:
             raise self._unexpected(self.peek())
 
 
-def parse_formula(text: str) -> Formula:
-    """Parse one formula; the whole input must be consumed."""
-    p = _Parser(text)
+def _whole_formula(tokens: List[_Token]) -> Formula:
+    p = _Parser(tokens)
     f = p.formula()
     p.expect_eof()
     return f
 
 
+def parse_formula(text: str) -> Formula:
+    """Parse one formula; the whole input must be consumed."""
+    return _whole_formula(_tokenize(text))
+
+
+def parse_lines(text: str) -> Theory:
+    """Parse one formula per non-empty line into a theory.
+
+    Error positions are positions in ``text``; the end of a line's formula is
+    the point just after its last token.
+    """
+    tokens = _tokenize(text)
+    formulas = []
+    for _, group in itertools.groupby(tokens[:-1], key=lambda tok: tok.span.line):
+        line = list(group)
+        last = line[-1].span
+        end = SourceSpan(last.line, last.column + last.length, 1)
+        formulas.append(_whole_formula(line + [_Token("EOF", "", end)]))
+    return Theory(formulas)
+
+
 def parse_theory(text: str) -> Theory:
     """Parse a sequence of ``FORMULA.`` statements into a theory."""
-    p = _Parser(text)
+    p = _Parser(_tokenize(text))
     formulas = []
     while not p.at_eof():
         formulas.append(p.theory_statement())
@@ -332,7 +321,7 @@ def parse_program(text: str) -> Program:
     Both sides of a rule must be nested expressions; an inner ``->`` is
     reported as an error at its own position.
     """
-    p = _Parser(text)
+    p = _Parser(_tokenize(text))
     rules = []
     while not p.at_eof():
         rules.append(p.rule_statement())
@@ -341,7 +330,7 @@ def parse_program(text: str) -> Program:
 
 def parse_interpretation(text: str) -> Interpretation:
     """Parse a literal set such as ``{~bird, flies}``; braces are optional."""
-    p = _Parser(text)
+    p = _Parser(_tokenize(text))
     braced = False
     if p.peek().kind == "{":
         p.take()

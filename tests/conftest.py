@@ -41,6 +41,14 @@ def formula_strategy(allow_impl=True, atom_pool=ATOMS, max_leaves=6):
                         max_leaves=max_leaves)
 
 
+# Lexer input: every operator and Unicode alias, comments, the whitespace the
+# lexer skips, and characters a word may contain but not start with.
+LEXER_PIECES = ["p", "q1", "_x", "bot", "top", "not", "~", "!", "&", "|", "->",
+                "<->", "<=>", "<", "-", "=", ">", "(", ")", "{", "}", ",", ".",
+                "%", "% c\n", " ", "\t", "\r", "\n", "0", "7", "_", "é", "²", "@",
+                "∼", "¬", "∧", "∨", "→", "⊤", "⊥", "↔", "⇔", "⟺"]
+lexer_texts = st.lists(st.sampled_from(LEXER_PIECES), max_size=30).map("".join)
+
 formulas = formula_strategy()
 nested_formulas = formula_strategy(allow_impl=False)
 

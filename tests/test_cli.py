@@ -2,8 +2,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
-from eqlx.cli import main
+from conftest import lexer_texts
+from eqlx import ParseError
+from eqlx.cli import _has_statements, main
+from eqlx.parser import _tokenize
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,6 +82,27 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", path)
         assert (code, out) == (0, "{}\n{p}\n")
 
+    def test_line_mode_error_is_placed_in_the_file(self, tmp_path, capsys):
+        path = write(tmp_path, "lines.txt", "p\n\n   q & \n")
+        code, out, err = run(capsys, "solve", path)
+        assert (code, out) == (2, "")
+        assert err == "error: line 3, column 7: unexpected token 'end of input'\n"
+
+    def test_dot_in_a_comment_keeps_line_mode(self, tmp_path, capsys):
+        path = write(tmp_path, "lines.txt", "% p. is not a statement\n~ not p -> p\n")
+        code, out, _ = run(capsys, "solve", path)
+        assert (code, out) == (0, "{}\n{p}\n")
+
+    @settings(max_examples=500)
+    @given(lexer_texts)
+    @example("p % q.\n")
+    def test_statement_mode_means_a_dot_token(self, text):
+        try:
+            tokens = _tokenize(text)
+        except ParseError:
+            return
+        assert _has_statements(text) == any(tok.kind == "." for tok in tokens)
+
     def test_signature_guard_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "ex1.x5", EXAMPLE1)
         code, _, err = run(capsys, "solve", path, "--max-atoms", "0")
@@ -116,16 +141,11 @@ class TestSolve:
 
 
 class TestEval:
-    @pytest.mark.parametrize("extra, golden", [
-        ((), "eval_double_negation.json"),
-        (("--here", "{}", "--mode", "n5"), "eval_n5.json"),
-        (("--here", "{}", "--mode", "classical"), "eval_classical.json"),
-    ])
-    def test_json_golden(self, capsys, extra, golden):
-        code, out, err = run(capsys, "eval", "not not p -> p",
-                             "--model", "{p}", *extra, "--json")
-        assert (code, err) == (0, "")
-        check_golden(out, golden)
+    def test_json_golden(self, capsys):
+        code, out, _ = run(capsys, "eval", "not not p -> p",
+                           "--model", "{p}", "--json")
+        assert code == 0
+        check_golden(out, "eval_double_negation.json")
 
     def test_split_worlds(self, capsys):
         code, out, _ = run(capsys, "eval", "not not p -> p",
@@ -331,6 +351,10 @@ class TestGolden:
         ("tables_n5.txt", ["tables", "--mode", "n5"]),
         ("tables_x5.json", ["tables", "--json"]),
         ("tables_n5.json", ["tables", "--mode", "n5", "--json"]),
+        ("eval_n5.json", ["eval", "not not p -> p", "--model", "{p}", "--here", "{}",
+                          "--mode", "n5", "--json"]),
+        ("eval_classical.json", ["eval", "not not p -> p", "--model", "{p}", "--here", "{}",
+                                 "--mode", "classical", "--json"]),
         ("reduct_nested.json", ["reduct", "--wrt", "{}", "EXAMPLE1", "--json"]),
         ("reduct_ferraris.json", ["reduct", "--wrt", "{~bird}", "RULE2", "--ferraris", "--json"]),
         ("nnf.json", ["nnf", "~(p & not p) | ~(q -> ~r)", "--json"]),

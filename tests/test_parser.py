@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from conftest import formulas, programs
+from conftest import formulas, lexer_texts, programs
 from eqlx import (
     BOT,
     TOP,
@@ -14,6 +14,7 @@ from eqlx import (
     ParseError,
     Program,
     Rule,
+    SourceSpan,
     XNeg,
     atom,
     canonical_print,
@@ -24,6 +25,7 @@ from eqlx import (
     parse_theory,
     strong_iff,
 )
+from eqlx.parser import _tokenize
 
 p, q, r = atom("p"), atom("q"), atom("r")
 bird, flies = atom("bird"), atom("flies")
@@ -96,6 +98,81 @@ class TestFormulaErrors:
             parse_formula("p &\n  )")
         assert err.value.span.line == 2
         assert err.value.span.column == 3
+
+
+def _old_tokenize(text):
+    """The character-by-character lexer that the regular expression replaced,
+    returning ``(kind, text, (line, column, length))`` tuples."""
+    aliases = {"∼": "~", "¬": "not", "∧": "&", "∨": "|", "→": "->", "⊤": "top",
+               "⊥": "bot", "↔": "<->", "⇔": "<=>", "⟺": "<=>"}
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+
+    def emit(kind, tok_text, length=None):
+        tokens.append((kind, tok_text, (line, col, length or len(tok_text))))
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+        elif ch in " \t\r":
+            col, i = col + 1, i + 1
+        elif ch == "%":
+            while i < n and text[i] != "\n":
+                i, col = i + 1, col + 1
+        elif ch in aliases:
+            emit(aliases[ch], aliases[ch], length=1)
+            col, i = col + 1, i + 1
+        elif text.startswith(("<->", "<=>"), i):
+            emit(text[i:i + 3], text[i:i + 3])
+            col, i = col + 3, i + 3
+        elif text.startswith("->", i):
+            emit("->", "->")
+            col, i = col + 2, i + 2
+        elif ch in "~&|(){},.":
+            emit(ch, ch)
+            col, i = col + 1, i + 1
+        elif ch == "!":
+            emit("not", "!")
+            col, i = col + 1, i + 1
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            emit(word if word in ("bot", "top", "not") else "atom", word)
+            col, i = col + j - i, j
+        else:
+            raise ParseError(f"lexical error: unexpected character {ch!r}",
+                             SourceSpan(line, col, 1))
+    tokens.append(("EOF", "", (line, col, 1)))
+    return tokens
+
+
+def _lex(lexer, text):
+    try:
+        return lexer(text)
+    except ParseError as exc:
+        return str(exc), exc.span
+
+
+class TestLexer:
+    @settings(max_examples=1000)
+    @given(lexer_texts)
+    def test_matches_the_character_lexer(self, text):
+        new = _lex(_tokenize, text)
+        if isinstance(new, list):
+            new = [(t.kind, t.text, (t.span.line, t.span.column, t.span.length))
+                   for t in new]
+        assert new == _lex(_old_tokenize, text)
+
+    @pytest.mark.parametrize("text, char, column", [
+        ("p & 2q", "2", 5), ("p & ²", "²", 5), ("q | 3", "3", 5), ("é2 & ½", "½", 6)])
+    def test_words_must_start_with_a_letter(self, text, char, column):
+        with pytest.raises(ParseError, match=f"unexpected character '{char}'") as err:
+            _tokenize(text)
+        assert err.value.span == SourceSpan(1, column, 1)
 
 
 class TestNestingBound:

@@ -6,14 +6,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _sweep(atoms):
+def _script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "engine_agreement_sweep.py"),
-         "--count", "200", "--atoms", str(atoms)],
-        env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def _sweep(atoms):
+    done = _script("engine_agreement_sweep.py", "--count", "200", "--atoms", str(atoms))
     assert done.returncode == 0, done.stderr
     assert "all 200 programs agree on every engine" in done.stdout
 
@@ -24,3 +26,25 @@ def test_engine_agreement_sweep():
 
 def test_engine_agreement_sweep_five_atoms():
     _sweep(5)
+
+
+def test_mode_divergence_report():
+    done = _script("mode_divergence_report.py")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        "formula: p -> q\n"
+        "  p=1, q=-2: x5=-2  n5=-1\n"
+        "1 of 25 interpretations differ\n"
+        "x5 normal form: p -> q\n"
+        "n5 normal form: p -> q\n"
+        "weakly equivalent to its x5 normal form: True\n"
+        "substitution-equivalent to its x5 normal form: True\n")
+
+
+def test_mode_divergence_report_errors():
+    done = _script("mode_divergence_report.py", "p &")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: line 1, column 4: unexpected token 'end of input'\n"
+    done = _script("mode_divergence_report.py", " & ".join(f"a{i}" for i in range(13)))
+    assert done.returncode == 3
+    assert done.stderr == "error: signature has 13 atoms, guard allows 12\n"
