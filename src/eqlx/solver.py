@@ -1,41 +1,63 @@
 """Exhaustive enumeration engines for models, answer sets and equilibria.
 
-Everything here is brute force by design: the search spaces are 3^n literal
-sets and 5^n here/there pairs, and the point of the artifact is checkable
-correctness, not scale.  A guard refuses signatures that would blow up.
+Everything here is brute force by design: the search space is the 5^n
+here/there points, and the point of the artifact is checkable correctness,
+not scale.  A guard refuses signatures that would blow up.
 
-All four engines share one scan, ``_minimal_models``: a candidate literal set
-is kept when it passes the engine's model test and none of its strict subsets
-does.  The three engines that ``solve`` compares keep independent tests:
-``answer_sets`` reads each rule's nested reduct with ``_nsat``,
-``equilibrium_models`` reads the theory with ``_sat`` below the candidate, and
-``equilibrium_models_ferraris`` reads the positive reduct (``ferraris_theory``)
-with ``_sat`` at single worlds.
+Each engine makes one bitsliced pass over those points
+(``truthtable.minimal_totals``).  It builds a mask of the points (h, t) where
+h satisfies the engine's own relation with respect to t; the scan folds each
+strictly smaller point (h, t) onto its total point (t, t) and keeps the total
+points in the mask that nothing was folded onto.  The three engines that
+``solve`` compares keep independent relations, each also read at (t, t):
+
+* ``answer_sets`` reads each rule of ``P^t``, the nested reduct, at h with
+  ``_nested_masks``: atoms at h, ``not G`` classically at t, so ``P^t`` is
+  never built;
+* ``equilibrium_models`` reads the theory's designated masks, the compiled
+  here-and-there satisfaction;
+* ``equilibrium_models_ferraris`` reads the positive reduct at h with
+  ``_ferraris_masks``, ``_fplus``/``_fminus`` in mask form.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .core import (
+    And,
     Atom,
+    AtomRef,
+    Bot,
+    DNeg,
     ExplicitLiteral,
     Formula,
+    Impl,
     Interpretation,
+    NotNested,
+    Or,
     Program,
     Theory,
+    Top,
     X5Interpretation,
+    XNeg,
     atoms,
     is_explicit,
 )
-from .reduct import (
-    _reduct,
+from .reduct import (  # noqa: F401  bench/tracing.py wraps these module bindings
     ferraris_theory,
-    reduct_program,  # noqa: F401  bench/tracing.py wraps this module binding
+    reduct_program,
 )
-from .semantics import _nsat, _sat
+from .truthtable import (
+    _FIVE_STATES,
+    _TRI_STATES,
+    Chunk,
+    SignatureTooLarge,
+    _guarded,
+    minimal_totals,
+)
 
 __all__ = [
     "DEFAULT_MAX_ATOMS",
@@ -52,10 +74,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ATOMS = 12
-
-
-class SignatureTooLarge(ValueError):
-    """Enumeration over this many atoms was refused; raise the guard to force it."""
 
 
 class InternalInconsistency(RuntimeError):
@@ -96,20 +114,6 @@ def _effective_signature(opts: SolveOptions, *inputs) -> List[Atom]:
 # ---------------------------------------------------------------------------
 # Candidate spaces
 
-# Per-atom states in enumeration order: absent < positive < negative.
-_TRI_STATES = (0, 1, -1)
-
-# Five-valued per-atom states in enumeration order.
-_FIVE_STATES = (0, 1, 2, -1, -2)
-
-
-def _guarded(signature: Iterable[Atom], max_atoms: int) -> List[Atom]:
-    ordered = sorted(set(signature))
-    if len(ordered) > max_atoms:
-        raise SignatureTooLarge(
-            f"signature has {len(ordered)} atoms, guard allows {max_atoms}")
-    return ordered
-
 
 def enumerate_interpretations(signature: Iterable[Atom],
                               max_atoms: int = DEFAULT_MAX_ATOMS) -> Iterator[Interpretation]:
@@ -138,71 +142,128 @@ def enumerate_x5(signature: Iterable[Atom],
         yield X5Interpretation(Interpretation(here), Interpretation(there))
 
 
-def _strict_subsets(t: Interpretation) -> Iterator[frozenset]:
-    lits = sorted(t.literals)
-    for k in range(len(lits)):
-        for combo in itertools.combinations(lits, k):
-            yield frozenset(combo)
+# ---------------------------------------------------------------------------
+# Relations in mask form, point by point over a chunk
 
 
-def _candidates(opts: Optional[SolveOptions], gamma) -> Iterator[Interpretation]:
-    """The 3^n literal sets over ``gamma``'s atoms and the requested extra atoms."""
-    opts = opts or SolveOptions()
-    return enumerate_interpretations(_effective_signature(opts, gamma), opts.max_atoms)
+def _nested_masks(chunk: Chunk, f: Formula, at_there: bool = False) -> Tuple[int, int]:
+    """The points (h, t) where h satisfies and where h falsifies the reduct
+    ``f^t`` of a nested expression; with ``at_there``, where t itself
+    satisfies and falsifies ``f``."""
+    full = chunk.full
+    if isinstance(f, Top):
+        return full, 0
+    if isinstance(f, Bot):
+        return 0, full
+    if isinstance(f, AtomRef):
+        ge = chunk.levels(f)
+        if at_there:
+            return ge[2], full ^ ge[1]
+        return ge[3], full ^ ge[0]
+    if isinstance(f, DNeg):
+        # ``not G`` reduces to bot where t satisfies G, to top elsewhere
+        sat_there = _nested_masks(chunk, f.child, True)[0]
+        return full ^ sat_there, sat_there
+    if isinstance(f, XNeg):
+        sat, fals = _nested_masks(chunk, f.child, at_there)
+        return fals, sat
+    if isinstance(f, (And, Or)):
+        sat_a, fals_a = _nested_masks(chunk, f.left, at_there)
+        sat_b, fals_b = _nested_masks(chunk, f.right, at_there)
+        if isinstance(f, And):
+            return sat_a & sat_b, fals_a | fals_b
+        return sat_a | sat_b, fals_a & fals_b
+    raise NotNested(f"the reduct is only defined on nested expressions: {f!r}")
+
+
+def _ferraris_masks(chunk: Chunk, f: Formula) -> Tuple[int, int, int, int]:
+    """The points (h, t) where h satisfies ``f+`` and where h falsifies
+    ``f-``, the Ferraris reducts with respect to t, followed by the points
+    where (t, t) satisfies and where it falsifies ``f``."""
+    full = chunk.full
+    if isinstance(f, Top):
+        plus, minus, sat, fals = full, 0, full, 0
+    elif isinstance(f, Bot):
+        plus, minus, sat, fals = 0, full, 0, full
+    elif isinstance(f, AtomRef):
+        ge = chunk.levels(f)
+        plus, minus, sat, fals = ge[3], full ^ ge[0], ge[2], full ^ ge[1]
+    elif isinstance(f, XNeg):
+        p, m, s, x = _ferraris_masks(chunk, f.child)
+        plus, minus, sat, fals = m, p, x, s
+    elif isinstance(f, DNeg):
+        p, _, s, _ = _ferraris_masks(chunk, f.child)
+        plus, minus, sat, fals = full ^ p, full, full ^ s, s
+    elif isinstance(f, (And, Or, Impl)):
+        pa, ma, sa, xa = _ferraris_masks(chunk, f.left)
+        pb, mb, sb, xb = _ferraris_masks(chunk, f.right)
+        if isinstance(f, And):
+            plus, minus, sat, fals = pa & pb, ma | mb, sa & sb, xa | xb
+        elif isinstance(f, Or):
+            plus, minus, sat, fals = pa | pb, ma & mb, sa | sb, xa & xb
+        else:
+            plus, minus, sat, fals = (full ^ pa) | pb, mb, (full ^ sa) | sb, sa & xb
+    else:
+        raise TypeError(f"cannot reduce {type(f).__name__}")
+    # f+ is bot where (t, t) does not satisfy f, f- top where it does not falsify it
+    return plus & sat, minus & fals, sat, fals
+
+
+def _all(chunk: Chunk, masks: Iterable[int]) -> int:
+    """The AND of ``masks``; the rest are not built once it is empty."""
+    bits = chunk.full
+    for mask in masks:
+        bits &= mask
+        if not bits:
+            break
+    return bits
+
+
+def _rules_hold(chunk: Chunk, p: Program) -> int:
+    """The points (h, t) where h satisfies every rule of ``p^t``."""
+    def holds(r) -> int:
+        return (chunk.full ^ _nested_masks(chunk, r.body)[0]) | _nested_masks(chunk, r.head)[0]
+
+    return _all(chunk, map(holds, p))
 
 
 # ---------------------------------------------------------------------------
 # Engines
 
 
-def _minimal_models(opts: Optional[SolveOptions], gamma,
-                    models_at: Callable[[Interpretation], Callable[[frozenset], bool]],
-                    ) -> List[Interpretation]:
-    """The candidates ``t``, in order, whose literals pass the test
-    ``models_at(t)`` while none of their strict subsets do."""
-    found = []
-    for t in _candidates(opts, gamma):
-        is_model = models_at(t)
-        if is_model(t.literals) and not any(map(is_model, _strict_subsets(t))):
-            found.append(t)
-    return found
+def _minimal(opts: Optional[SolveOptions], gamma,
+             relation: Callable[[Chunk], int]) -> List[Interpretation]:
+    opts = opts or SolveOptions()
+    return minimal_totals(_effective_signature(opts, gamma), opts.max_atoms, relation)
 
 
-def _rule_wise(rules: Sequence[Tuple[Formula, Formula]]) -> Callable[[frozenset], bool]:
-    """Model test of the explicit ``(body, head)`` rules on a literal set."""
-    return lambda s: all(not _nsat(s, body) or _nsat(s, head) for body, head in rules)
+def _theory(gamma: Union[Theory, Program]) -> Theory:
+    return gamma.as_theory() if isinstance(gamma, Program) else gamma
 
 
 def minimal_models_explicit(p: Program, opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """Inclusion-minimal models of an explicit program."""
     if not is_explicit(p):
         raise NotExplicit("minimal_models_explicit requires a program without default negation")
-    models = _rule_wise([(r.body, r.head) for r in p])
-    # minimal among all models, since every strict subset of a candidate is a candidate
-    return _minimal_models(opts, p, lambda t: models)
+    # without default negation the reduct is the program itself
+    return _minimal(opts, p, lambda chunk: _rules_hold(chunk, p))
 
 
 def answer_sets(p: Program, opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """All literal sets that are minimal models of their own reduct."""
-    return _minimal_models(opts, p, lambda t: _rule_wise(
-        [(_reduct(r.body, t.literals), _reduct(r.head, t.literals)) for r in p]))
+    return _minimal(opts, p, lambda chunk: _rules_hold(chunk, p))
 
 
 def equilibrium_models(gamma: Union[Theory, Program],
                        opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """Total models admitting no strictly smaller here world."""
-    theory = gamma.as_theory() if isinstance(gamma, Program) else gamma
-    return _minimal_models(opts, gamma, lambda t: lambda h: all(
-        _sat(h, t.literals, f) for f in theory))
+    theory = _theory(gamma)
+    return _minimal(opts, gamma, lambda chunk: _all(chunk, map(chunk.designated, theory)))
 
 
 def equilibrium_models_ferraris(gamma: Union[Theory, Program],
                                 opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """Equilibrium models computed as minimal models of the positive reduct."""
-    theory = gamma.as_theory() if isinstance(gamma, Program) else gamma
-
-    def models_at(t: Interpretation) -> Callable[[frozenset], bool]:
-        reduced = ferraris_theory(theory, t)
-        return lambda h: all(_sat(h, h, f) for f in reduced)
-
-    return _minimal_models(opts, gamma, models_at)
+    theory = _theory(gamma)
+    return _minimal(opts, gamma, lambda chunk: _all(
+        chunk, (_ferraris_masks(chunk, f)[0] for f in theory)))

@@ -17,12 +17,22 @@ space is walked in chunks of at most 5^7 points, in that order: a chunk
 fixes the leading atoms, whose masks are then all ones or all zeros, and
 lets the last seven vary.  Memory stays near 10 KB per mask, and a search
 stops at the first chunk that has a hit.
+
+``minimal_totals`` is the model scan the solver's engines share.  An engine
+gives a mask of the points (h, t) where h satisfies its relation with
+respect to t; the scan keeps the total points (t, t) in the mask that no
+point (h, t) with h a strict subset of t is in.  Folding moves every
+strictly smaller point onto its total point: for each atom, the bits where
+its value is 1 or -1 (here lacks the literal that there has) are ORed into
+the bits where it is 2 or -2.  The total points in ascending bit order are
+the ``enumerate_interpretations`` order.  The guard that bounds every scan,
+``_guarded``, lives here too.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     And,
@@ -30,16 +40,38 @@ from .core import (
     AtomRef,
     Bot,
     DNeg,
+    ExplicitLiteral,
     Formula,
     Impl,
+    Interpretation,
     Or,
     Top,
     X5Interpretation,
     XNeg,
 )
-from .solver import _FIVE_STATES, _guarded
 
-__all__ = ["Chunk", "chunks", "first_point"]
+__all__ = ["SignatureTooLarge", "Chunk", "chunks", "first_point", "minimal_totals"]
+
+
+class SignatureTooLarge(ValueError):
+    """Enumeration over this many atoms was refused; raise the guard to force it."""
+
+
+# Per-atom states in enumeration order: absent < positive < negative.
+_TRI_STATES = (0, 1, -1)
+
+# Five-valued per-atom states in enumeration order; on the total states
+# (0, 2, -2) it is ``_TRI_STATES`` scaled by two.
+_FIVE_STATES = (0, 1, 2, -1, -2)
+
+
+def _guarded(signature: Iterable[Atom], max_atoms: int) -> List[Atom]:
+    ordered = sorted(set(signature))
+    if len(ordered) > max_atoms:
+        raise SignatureTooLarge(
+            f"signature has {len(ordered)} atoms, guard allows {max_atoms}")
+    return ordered
+
 
 # Atoms that vary inside one chunk: 5^7 = 78125 points.
 _CHUNK_ATOMS = 7
@@ -123,29 +155,47 @@ class Chunk:
             return _implies(full, self.levels(f.left), self.levels(f.right))
         raise TypeError(f"cannot evaluate {type(f).__name__}")
 
-    def point(self, bit: int) -> X5Interpretation:
-        """The interpretation at one bit of this chunk."""
+    def values(self, bit: int) -> Dict[Atom, int]:
+        """The five-valued assignment at one bit of this chunk."""
         values = dict(self._fixed)
         for a in reversed(self._inner):
             bit, digit = divmod(bit, 5)
             values[a] = _FIVE_STATES[digit]
-        return X5Interpretation.from_values(values)
+        return values
+
+    def point(self, bit: int) -> X5Interpretation:
+        """The interpretation at one bit of this chunk."""
+        return X5Interpretation.from_values(self.values(bit))
+
+
+class _Space:
+    """The 5^n points over a guarded signature: the leading atoms fix a
+    chunk, the last ``_CHUNK_ATOMS`` vary inside it."""
+
+    def __init__(self, signature: Iterable[Atom], max_atoms: int):
+        ordered = _guarded(signature, max_atoms)
+        split = max(0, len(ordered) - _CHUNK_ATOMS)
+        self.lead, self.inner = ordered[:split], ordered[split:]
+        size = 5 ** len(self.inner)
+        self.full = (1 << size) - 1
+        self.strides = [5 ** j for j in reversed(range(len(self.inner)))]
+        self.inner_levels = {a: _atom_levels(stride, size)
+                             for a, stride in zip(self.inner, self.strides)}
+
+    def chunk(self, states: Sequence[int]) -> Chunk:
+        """The chunk whose leading atoms take ``states``."""
+        full = self.full
+        atom_levels = dict(self.inner_levels)
+        for a, v in zip(self.lead, states):
+            atom_levels[a] = tuple(full if v >= k else 0 for k in _LEVELS)
+        return Chunk(full, dict(zip(self.lead, states)), self.inner, atom_levels)
 
 
 def chunks(signature: Iterable[Atom], max_atoms: int) -> Iterator[Chunk]:
     """The 5^n points over the signature as chunks, in ``enumerate_x5`` order."""
-    ordered = _guarded(signature, max_atoms)
-    split = max(0, len(ordered) - _CHUNK_ATOMS)
-    lead, inner = ordered[:split], ordered[split:]
-    size = 5 ** len(inner)
-    full = (1 << size) - 1
-    inner_levels = {a: _atom_levels(5 ** (len(inner) - 1 - j), size)
-                    for j, a in enumerate(inner)}
-    for states in itertools.product(_FIVE_STATES, repeat=len(lead)):
-        atom_levels = dict(inner_levels)
-        for a, v in zip(lead, states):
-            atom_levels[a] = tuple(full if v >= k else 0 for k in _LEVELS)
-        yield Chunk(full, dict(zip(lead, states)), inner, atom_levels)
+    space = _Space(signature, max_atoms)
+    for states in itertools.product(_FIVE_STATES, repeat=len(space.lead)):
+        yield space.chunk(states)
 
 
 def first_point(signature: Iterable[Atom], max_atoms: int,
@@ -157,3 +207,50 @@ def first_point(signature: Iterable[Atom], max_atoms: int,
         if bits:
             return chunk.point((bits & -bits).bit_length() - 1)
     return None
+
+
+def minimal_totals(signature: Iterable[Atom], max_atoms: int,
+                   relation: Callable[[Chunk], int]) -> List[Interpretation]:
+    """The there-worlds t, in ``enumerate_interpretations`` order, whose total
+    point (t, t) is in the mask ``relation`` builds for each chunk while no
+    point (h, t) with h a strict subset of t is.
+
+    For each leading there-state, the chunk whose leading atoms are total
+    comes first; each of its strictly smaller leading variants then removes
+    its folded mask from the candidates, until none is left.
+    """
+    space = _Space(signature, max_atoms)
+    total = space.full
+    lowered = []  # (stride, points where the atom's value is 1 or -1)
+    for a, stride in zip(space.inner, space.strides):
+        ge = space.inner_levels[a]
+        below = (ge[0] ^ ge[1]) | (ge[2] ^ ge[3])
+        total &= ~below
+        lowered.append((stride, below))
+
+    def fold(mask: int) -> int:
+        for stride, below in lowered:
+            mask |= (mask & below) << stride
+        return mask
+
+    literal = {(a, v): ExplicitLiteral(a, negated=v < 0)
+               for a in space.lead + space.inner for v in (2, -2)}
+    found = []
+    for there in itertools.product(_TRI_STATES, repeat=len(space.lead)):
+        total_states = [2 * v for v in there]
+        sat = relation(space.chunk(total_states))
+        candidates = sat & total & ~fold(sat & ~total)
+        smaller = itertools.product(*[(2 * v, v) if v else (0,) for v in there])
+        next(smaller)  # the total variant, already read
+        for states in smaller:
+            if not candidates:
+                break
+            candidates &= ~fold(relation(space.chunk(states)))
+        # a fresh chunk decodes the bits: the masks built so far are not held
+        decoder = space.chunk(total_states)
+        while candidates:
+            low = candidates & -candidates
+            values = decoder.values(low.bit_length() - 1).items()
+            found.append(Interpretation(literal[a, v] for a, v in values if v))
+            candidates ^= low
+    return found

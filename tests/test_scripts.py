@@ -28,6 +28,10 @@ def test_engine_agreement_sweep_five_atoms():
     _sweep(5)
 
 
+def test_engine_agreement_sweep_six_atoms():
+    _sweep(6)
+
+
 def test_mode_divergence_report():
     done = _script("mode_divergence_report.py")
     assert (done.returncode, done.stderr) == (0, "")
@@ -46,5 +50,11 @@ def test_mode_divergence_report_errors():
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: line 1, column 4: unexpected token 'end of input'\n"
     done = _script("mode_divergence_report.py", " & ".join(f"a{i}" for i in range(13)))
-    assert done.returncode == 3
+    assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "error: signature has 13 atoms, guard allows 12\n"
+
+
+def test_mode_divergence_report_deep_formula():
+    done = _script("mode_divergence_report.py", " & ".join(["p"] * 3000))
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: formula nests too deeply to evaluate\n"

@@ -1,17 +1,19 @@
 import itertools
 import random
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import ATOMS, formulas, programs
+from conftest import ATOMS, formula_strategy, formulas, nested_formulas
 from genutil import random_program
 from eqlx import (
     BOT,
     And,
     Atom,
     AtomRef,
+    ExplicitLiteral,
     Interpretation,
     NotExplicit,
     Or,
@@ -31,15 +33,27 @@ from eqlx import (
     equilibrium_models,
     equilibrium_models_ferraris,
     minimal_models_explicit,
+    parse_formula,
     parse_interpretation,
     parse_program,
     parse_theory,
     reduct_program,
 )
-from eqlx.reduct import ferraris_theory
-from eqlx.semantics import _nsat, _sat
+from eqlx import truthtable
+from eqlx.reduct import _reduct, ferraris_minus, ferraris_plus, ferraris_theory
+from eqlx.semantics import _fals, _nfals, _nsat, _sat
+from eqlx.solver import _ferraris_masks, _nested_masks
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
+
+# The engine differentials draw from five atoms.
+POOL = ATOMS + (Atom("s"), Atom("t"))
+pool_nested = formula_strategy(allow_impl=False, atom_pool=POOL)
+programs = st.builds(Program, st.lists(st.builds(Rule, pool_nested, pool_nested), max_size=3))
+
+
+def choice_program(n):
+    return parse_program("\n".join(f"not ~a{i} -> a{i}. not a{i} -> ~a{i}." for i in range(n)))
 
 
 def interps(*texts):
@@ -74,6 +88,38 @@ class TestEnumeration:
         with pytest.raises(SignatureTooLarge):
             answer_sets(Program([Rule(TOP, atom("p"))]),
                         SolveOptions(signature=wide))
+
+
+def decided(prog):
+    """Every literal set deciding each atom, in ``enumerate_interpretations`` order."""
+    sig = sorted(atoms(prog))
+    return [Interpretation(ExplicitLiteral(a, negated=s < 0) for a, s in zip(sig, states))
+            for states in itertools.product((1, -1), repeat=len(sig))]
+
+
+class TestGuardedScan:
+    def test_choice_program_answer_sets_decide_every_atom(self):
+        prog = choice_program(4)
+        expected = [t for t in enumerate_interpretations(atoms(prog)) if len(t) == 4]
+        assert decided(prog) == expected == answer_sets(prog)
+
+    def test_twelve_atom_choice_program(self):
+        prog = choice_program(12)
+        expected = decided(prog)
+        assert len(expected) == 4096
+        assert answer_sets(prog) == expected
+        assert equilibrium_models(prog) == expected
+        assert equilibrium_models_ferraris(prog) == expected
+
+    def test_thirteen_atoms_are_refused_before_any_mask(self):
+        prog = choice_program(13)
+        engines = [answer_sets, equilibrium_models, equilibrium_models_ferraris]
+        with mock.patch.object(truthtable, "_atom_levels", side_effect=AssertionError):
+            for engine in engines:
+                with pytest.raises(SignatureTooLarge, match="13 atoms"):
+                    engine(prog)
+            with pytest.raises(SignatureTooLarge, match="13 atoms"):
+                minimal_models_explicit(Program(), SolveOptions(signature=atoms(prog)))
 
 
 class TestMinimalModels:
@@ -270,34 +316,90 @@ def _ref_equilibrium_models_ferraris(gamma, opts):
 
 
 explicit_formulas = st.recursive(
-    st.sampled_from([AtomRef(a) for a in ATOMS] + [BOT, TOP]),
+    st.sampled_from([AtomRef(a) for a in POOL] + [BOT, TOP]),
     lambda ch: st.one_of(st.builds(XNeg, ch), st.builds(And, ch, ch),
                          st.builds(Or, ch, ch)),
     max_leaves=6)
 explicit_programs = st.builds(
     Program, st.lists(st.builds(Rule, explicit_formulas, explicit_formulas), max_size=3))
-theories = st.builds(Theory, st.lists(formulas, max_size=3))
+theories = st.builds(Theory, st.lists(formula_strategy(atom_pool=POOL), max_size=3))
 solve_options = st.sampled_from([SolveOptions(), SolveOptions(signature={Atom("z")})])
+
+
+def across_chunk_widths(run):
+    """``run()`` with 1, 2 and 7 atoms varying inside a chunk; each result."""
+    results = []
+    for width in (1, 2, 7):
+        with mock.patch.object(truthtable, "_CHUNK_ATOMS", width):
+            results.append(run())
+    return results
 
 
 class TestSharedScanMatchesSeparateLoops:
     @given(programs, solve_options)
     @example(parse_program("p | not p."), SolveOptions())
+    # {p, q} is a model, {} the only smaller one: lowered in the lead and inside a chunk
+    @example(parse_program("q -> p. p -> q."), SolveOptions())
     @settings(max_examples=150)
     def test_programs(self, prog, opts):
-        assert answer_sets(prog, opts) == _ref_answer_sets(prog, opts)
-        assert equilibrium_models(prog, opts) == _ref_equilibrium_models(prog, opts)
-        assert equilibrium_models_ferraris(prog, opts) == \
-            _ref_equilibrium_models_ferraris(prog, opts)
+        expected = [_ref_answer_sets(prog, opts), _ref_equilibrium_models(prog, opts),
+                    _ref_equilibrium_models_ferraris(prog, opts)]
+        assert across_chunk_widths(lambda: [
+            answer_sets(prog, opts), equilibrium_models(prog, opts),
+            equilibrium_models_ferraris(prog, opts)]) == [expected] * 3
 
     @given(theories, solve_options)
     @settings(max_examples=150)
     def test_theories(self, theory, opts):
-        assert equilibrium_models(theory, opts) == _ref_equilibrium_models(theory, opts)
-        assert equilibrium_models_ferraris(theory, opts) == \
-            _ref_equilibrium_models_ferraris(theory, opts)
+        expected = [_ref_equilibrium_models(theory, opts),
+                    _ref_equilibrium_models_ferraris(theory, opts)]
+        assert across_chunk_widths(lambda: [
+            equilibrium_models(theory, opts),
+            equilibrium_models_ferraris(theory, opts)]) == [expected] * 3
 
     @given(explicit_programs, solve_options)
     @settings(max_examples=150)
     def test_explicit_programs(self, prog, opts):
-        assert minimal_models_explicit(prog, opts) == _ref_minimal_models_explicit(prog, opts)
+        expected = _ref_minimal_models_explicit(prog, opts)
+        assert across_chunk_widths(lambda: minimal_models_explicit(prog, opts)) == [expected] * 3
+
+
+# ---------------------------------------------------------------------------
+# Each engine's mask against its scalar definition, point by point
+
+
+def _pointwise(f, mask_of, scalar):
+    """Compare bit i of each mask with the scalar relation at the i-th point."""
+    [chunk] = list(truthtable.chunks(ATOMS, len(ATOMS)))
+    masks = mask_of(chunk, f)
+    for i, m in enumerate(enumerate_x5(ATOMS)):
+        expected = scalar(m.here.literals, m.there.literals)
+        assert [bool(mask >> i & 1) for mask in masks] == expected, (i, str(m))
+    assert all(0 <= mask <= chunk.full for mask in masks)
+
+
+every_connective = parse_formula("(p & top) | (~q -> not (r | bot))")
+
+
+class TestMaskRelations:
+    @given(nested_formulas)
+    @example(parse_formula("(p & top) | ~(not (q | bot) & ~r)"))
+    @settings(max_examples=150)
+    def test_nested_reduct(self, f):
+        _pointwise(f, _nested_masks, lambda h, t: [
+            _nsat(h, _reduct(f, t)), _nfals(h, _reduct(f, t))])
+
+    @given(formulas)
+    @example(every_connective)
+    @settings(max_examples=150)
+    def test_ferraris_reducts(self, f):
+        _pointwise(f, _ferraris_masks, lambda h, t: [
+            _sat(h, h, ferraris_plus(f, Interpretation(t))),
+            _fals(h, h, ferraris_minus(f, Interpretation(t))),
+            _sat(t, t, f), _fals(t, t, f)])
+
+    @given(formulas)
+    @example(every_connective)
+    @settings(max_examples=150)
+    def test_here_and_there(self, f):
+        _pointwise(f, lambda chunk, g: [chunk.designated(g)], lambda h, t: [_sat(h, t, f)])
