@@ -63,7 +63,6 @@ from .reduct import (
     reduct_nested,
     reduct_program,
     reduct_rule,
-    simplify_constants,
 )
 from .semantics import (
     EvalMode,
@@ -95,6 +94,7 @@ from .transform import (
     cross_encode,
     export_asp,
     is_nnf,
+    simplify_constants,
     to_nnf,
     to_nnf_program,
     to_regular,

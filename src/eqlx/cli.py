@@ -52,7 +52,7 @@ from .parser import (
     parse_lines,
     parse_theory,
 )
-from .reduct import ferraris_minus, ferraris_plus, reduct_program, simplify_constants
+from .reduct import ferraris_minus, ferraris_plus, reduct_program
 from .semantics import EvalMode, classical_sat, value5, x5_fals, x5_sat
 from .solver import (
     InternalInconsistency,
@@ -66,6 +66,7 @@ from .solver import (
 from .transform import (
     RewriteBudgetExceeded,
     export_asp,
+    simplify_constants,
     to_nnf,
     to_nnf_program,
     to_regular,

@@ -33,6 +33,7 @@ from .semantics import value5, x5_sat
 from .solver import (
     InternalInconsistency,
     SolveOptions,
+    _all,
     _effective_signature,
     enumerate_x5,  # noqa: F401  bench/tracing.py wraps this module binding
     equilibrium_models,
@@ -202,14 +203,11 @@ def theory_replace_check(gamma: Theory, alpha: Formula, beta: Formula,
     extended_a = list(gamma) + [alpha]
     extended_b = list(gamma) + [beta]
 
-    def models(t: Chunk, theory: List[Formula]) -> int:
-        bits = t.full
-        for f in theory:
-            bits &= t.designated(f)
-        return bits
-
     def differ(m: X5Interpretation) -> bool:
         return all(x5_sat(m, f) for f in extended_a) != all(x5_sat(m, f) for f in extended_b)
 
-    return _decide(opts, lambda t: models(t, extended_a) ^ models(t, extended_b),
+    # the models of gamma + [alpha] and of gamma + [beta] differ exactly
+    # where gamma holds and alpha and beta do not agree
+    return _decide(opts, lambda t: _all(t, map(t.designated, gamma))
+                   & (t.designated(alpha) ^ t.designated(beta)),
                    differ, gamma, alpha, beta).equivalent

@@ -1,11 +1,12 @@
-"""Reduct constructions and constant simplification.
+"""Reduct constructions.
 
 Two reducts are provided.  ``reduct_nested`` replaces every default-negated
 subexpression of a nested expression by a constant according to the reference
 literal set, producing an explicit result.  ``ferraris_plus``/
 ``ferraris_minus`` are the dual transformations for arbitrary formulas: the
 positive one bottoms out unsatisfied subformulas, the negative one tops out
-unfalsified ones, and explicit negation swaps between them.
+unfalsified ones, and explicit negation swaps between them.  Constant
+folding of their results is ``transform.simplify_constants``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "ferraris_plus",
     "ferraris_minus",
     "ferraris_theory",
-    "simplify_constants",
 ]
 
 
@@ -75,44 +75,19 @@ def reduct_program(p: Program, t: Interpretation) -> Program:
 # Dual reduct for arbitrary formulas
 
 
-def ferraris_plus(phi: Formula, t: Interpretation, rewrite_impl: bool = False) -> Formula:
-    """Positive reduct of an arbitrary formula with respect to ``t``.
-
-    With ``rewrite_impl`` every implication ``a -> b`` is first replaced by
-    ``not a | b``; the direct implication case is then never exercised.  The
-    two routes agree at the total world but not below it (the rewrite is not
-    an equivalence away from total worlds), so only the direct route is used
-    for equilibrium computation.
-    """
-    if rewrite_impl:
-        phi = _impl_free(phi)
+def ferraris_plus(phi: Formula, t: Interpretation) -> Formula:
+    """Positive reduct of an arbitrary formula with respect to ``t``."""
     return _fplus(phi, t.literals)
 
 
-def ferraris_minus(phi: Formula, t: Interpretation, rewrite_impl: bool = False) -> Formula:
+def ferraris_minus(phi: Formula, t: Interpretation) -> Formula:
     """Negative reduct, dual to :func:`ferraris_plus`."""
-    if rewrite_impl:
-        phi = _impl_free(phi)
     return _fminus(phi, t.literals)
 
 
 def ferraris_theory(gamma, t: Interpretation) -> list:
     """Positive reduct of every member of a theory."""
     return [ferraris_plus(f, t) for f in gamma]
-
-
-def _impl_free(f: Formula) -> Formula:
-    if isinstance(f, Impl):
-        return Or(DNeg(_impl_free(f.left)), _impl_free(f.right))
-    if isinstance(f, And):
-        return And(_impl_free(f.left), _impl_free(f.right))
-    if isinstance(f, Or):
-        return Or(_impl_free(f.left), _impl_free(f.right))
-    if isinstance(f, XNeg):
-        return XNeg(_impl_free(f.child))
-    if isinstance(f, DNeg):
-        return DNeg(_impl_free(f.child))
-    return f
 
 
 def _fplus(f: Formula, t) -> Formula:
@@ -149,63 +124,3 @@ def _fminus(f: Formula, t) -> Formula:
     if isinstance(f, XNeg):
         return XNeg(_fplus(f.child, t))
     raise TypeError(f"cannot reduce {type(f).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Constant folding
-
-
-def simplify_constants(phi: Formula) -> Formula:
-    """Fold ``top``/``bot`` through connectives and collapse double ``~``.
-
-    Every rule applied here preserves the five-valued value at every
-    interpretation, so results may be substituted for their originals in any
-    context.
-    """
-    if isinstance(phi, And):
-        left = simplify_constants(phi.left)
-        right = simplify_constants(phi.right)
-        if isinstance(left, Bot) or isinstance(right, Bot):
-            return BOT
-        if isinstance(left, Top):
-            return right
-        if isinstance(right, Top):
-            return left
-        return And(left, right)
-    if isinstance(phi, Or):
-        left = simplify_constants(phi.left)
-        right = simplify_constants(phi.right)
-        if isinstance(left, Top) or isinstance(right, Top):
-            return TOP
-        if isinstance(left, Bot):
-            return right
-        if isinstance(right, Bot):
-            return left
-        return Or(left, right)
-    if isinstance(phi, XNeg):
-        child = simplify_constants(phi.child)
-        if isinstance(child, Top):
-            return BOT
-        if isinstance(child, Bot):
-            return TOP
-        if isinstance(child, XNeg):
-            return child.child
-        return XNeg(child)
-    if isinstance(phi, DNeg):
-        child = simplify_constants(phi.child)
-        if isinstance(child, Top):
-            return BOT
-        if isinstance(child, Bot):
-            return TOP
-        return DNeg(child)
-    if isinstance(phi, Impl):
-        left = simplify_constants(phi.left)
-        right = simplify_constants(phi.right)
-        if isinstance(right, Top):
-            return TOP
-        if isinstance(left, Bot):
-            return TOP
-        if isinstance(left, Top):
-            return right
-        return Impl(left, right)
-    return phi

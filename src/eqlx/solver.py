@@ -156,7 +156,7 @@ def _nested_masks(chunk: Chunk, f: Formula, at_there: bool = False) -> Tuple[int
     if isinstance(f, Bot):
         return 0, full
     if isinstance(f, AtomRef):
-        ge = chunk.levels(f)
+        ge = chunk.atom_levels[f.atom]
         if at_there:
             return ge[2], full ^ ge[1]
         return ge[3], full ^ ge[0]
@@ -186,7 +186,7 @@ def _ferraris_masks(chunk: Chunk, f: Formula) -> Tuple[int, int, int, int]:
     elif isinstance(f, Bot):
         plus, minus, sat, fals = 0, full, 0, full
     elif isinstance(f, AtomRef):
-        ge = chunk.levels(f)
+        ge = chunk.atom_levels[f.atom]
         plus, minus, sat, fals = ge[3], full ^ ge[0], ge[2], full ^ ge[1]
     elif isinstance(f, XNeg):
         p, m, s, x = _ferraris_masks(chunk, f.child)

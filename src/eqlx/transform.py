@@ -1,18 +1,25 @@
-"""Rewriting: negation normal form, regular rules, solver export, encodings.
+"""Rewriting: negation normal form, regular rules, constant folding, export,
+encodings.
 
-Every rewrite step is an instance of a named rule from a table, and each
-table entry is machine-verified against the five-valued semantics the first
-time a rewriter runs, so a wrong rule announces itself immediately.  Rules
+Each rewrite rule is written once, as a named entry of a table, and the
+rewriters apply the tables: a small matcher finds the first entry whose
+left-hand side matches a node (the atoms of a pattern are its
+metavariables) and builds the right-hand side from the bindings.  Every
+entry is machine-verified against the five-valued semantics the first time
+a rewriter runs, so a wrong rule announces itself immediately.  Rules
 marked ``subst`` preserve the value at every interpretation and may fire in
 any context; rules marked ``weak`` only preserve designatedness and are
 applied outermost-first so that they never fire inside an explicit negation.
+The distribution and rule splitting of :func:`to_regular` work on lists and
+stay hand-written; the names they trace are verified table entries too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     BOT,
@@ -36,7 +43,6 @@ from .core import (
     atoms,
     iff,
 )
-from .reduct import simplify_constants
 from .semantics import EvalMode, value5
 from .solver import enumerate_x5
 
@@ -48,11 +54,13 @@ __all__ = [
     "RewriteRule",
     "NNF_RULES",
     "REGULAR_RULES",
+    "FOLD_RULES",
     "verify_rewrite_rules",
     "is_nnf",
     "to_nnf",
     "to_nnf_program",
     "to_regular",
+    "simplify_constants",
     "export_asp",
     "cross_encode",
 ]
@@ -79,9 +87,11 @@ class CrossEncoding(Enum):
     X5_IN_N5 = "x5-in-n5"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RewriteRule:
-    """One named rewrite with the logic(s) and strength it is valid at."""
+    """One named rewrite with the logic(s) and strength it is valid at.
+
+    Entries compare by identity: a table may share another table's entry."""
 
     name: str
     lhs: Formula
@@ -113,14 +123,14 @@ REGULAR_RULES: Tuple[RewriteRule, ...] = (
                 Or(And(_a, _b), And(_a, _c)), "subst", _X5),
     RewriteRule("dist_or_and", Or(_a, And(_b, _c)),
                 And(Or(_a, _b), Or(_a, _c)), "subst", _X5),
-    RewriteRule("and_bot", And(_a, BOT), BOT, "subst", _X5),
-    RewriteRule("or_top", Or(_a, TOP), TOP, "subst", _X5),
-    RewriteRule("and_top", And(_a, TOP), _a, "subst", _X5),
-    RewriteRule("or_bot", Or(_a, BOT), _a, "subst", _X5),
+    RewriteRule("and_bot", And(_a, BOT), BOT, "subst", _BOTH),
+    RewriteRule("or_top", Or(_a, TOP), TOP, "subst", _BOTH),
+    RewriteRule("and_top", And(_a, TOP), _a, "subst", _BOTH),
+    RewriteRule("or_bot", Or(_a, BOT), _a, "subst", _BOTH),
     RewriteRule("dneg_and", DNeg(And(_a, _b)), Or(DNeg(_a), DNeg(_b)), "subst", _X5),
     RewriteRule("dneg_or", DNeg(Or(_a, _b)), And(DNeg(_a), DNeg(_b)), "subst", _X5),
-    RewriteRule("dneg_top", DNeg(TOP), BOT, "subst", _X5),
-    RewriteRule("dneg_bot", DNeg(BOT), TOP, "subst", _X5),
+    RewriteRule("dneg_top", DNeg(TOP), BOT, "subst", _BOTH),
+    RewriteRule("dneg_bot", DNeg(BOT), TOP, "subst", _BOTH),
     RewriteRule("triple_dneg", DNeg(DNeg(DNeg(_a))), DNeg(_a), "subst", _X5),
     RewriteRule("head_and_split", Impl(_a, And(_b, _c)),
                 And(Impl(_a, _b), Impl(_a, _c)), "subst", _X5),
@@ -130,21 +140,44 @@ REGULAR_RULES: Tuple[RewriteRule, ...] = (
                 Impl(_a, Or(_c, DNeg(_b))), "subst", _X5),
     RewriteRule("head_dneg_shift", Impl(_a, Or(_c, DNeg(DNeg(_b)))),
                 Impl(And(_a, DNeg(_b)), _c), "subst", _X5),
+    RewriteRule("head_dneg_elim", Impl(_a, Or(_b, DNeg(_c))),
+                Impl(And(_a, DNeg(DNeg(_c))), _b), "subst", _X5),
+    RewriteRule("drop_trivial_rule", Impl(_a, TOP), TOP, "subst", _BOTH),
+    RewriteRule("drop_trivial_rule", Impl(BOT, _a), TOP, "subst", _BOTH),
+    RewriteRule("falsum_rule_split", Impl(TOP, BOT),
+                And(Impl(_a, BOT), Impl(DNeg(_a), BOT)), "subst", _X5),
     RewriteRule("and_idem", And(_a, _a), _a, "subst", _X5),
     RewriteRule("or_idem", Or(_a, _a), _a, "subst", _X5),
 )
 
-_verified = False
+_named = {r.name: r for r in NNF_RULES + REGULAR_RULES}
+_head_top, _body_bot = (r for r in REGULAR_RULES if r.name == "drop_trivial_rule")
+
+#: Constant folding, applied bottom-up by :func:`simplify_constants`.  It
+#: shares the entries the other tables already have and adds their mirror
+#: images; a trivial rule folds to ``top`` by the entries that drop it.
+FOLD_RULES: Tuple[RewriteRule, ...] = (
+    RewriteRule("bot_and", And(BOT, _a), BOT, "subst", _BOTH), _named["and_bot"],
+    RewriteRule("top_and", And(TOP, _a), _a, "subst", _BOTH), _named["and_top"],
+    RewriteRule("top_or", Or(TOP, _a), TOP, "subst", _BOTH), _named["or_top"],
+    RewriteRule("bot_or", Or(BOT, _a), _a, "subst", _BOTH), _named["or_bot"],
+    _named["xneg_top"], _named["xneg_bot"], _named["xneg_xneg"],
+    _named["dneg_top"], _named["dneg_bot"],
+    _head_top, _body_bot, RewriteRule("top_impl", Impl(TOP, _a), _a, "subst", _BOTH),
+)
 
 
 def verify_rewrite_rules() -> int:
     """Check every table entry semantically; returns the number of checks run."""
     checked = 0
     failures = []
-    for rule in NNF_RULES + REGULAR_RULES:
-        sig = sorted(atoms(rule.lhs) | atoms(rule.rhs))
+    points: Dict[tuple, list] = {}
+    for rule in dict.fromkeys(NNF_RULES + REGULAR_RULES + FOLD_RULES):
+        sig = tuple(sorted(atoms(rule.lhs) | atoms(rule.rhs)))
+        if sig not in points:
+            points[sig] = list(enumerate_x5(sig))
         for mode in rule.modes:
-            for m in enumerate_x5(sig):
+            for m in points[sig]:
                 if rule.strength == "subst":
                     ok = value5(m, rule.lhs, mode) == value5(m, rule.rhs, mode)
                 else:
@@ -158,16 +191,104 @@ def verify_rewrite_rules() -> int:
     return checked
 
 
+@functools.cache
 def _ensure_verified() -> None:
-    global _verified
-    if not _verified:
-        verify_rewrite_rules()
-        _verified = True
+    verify_rewrite_rules()
 
 
 def _note(trace: Optional[list], name: str, where: str) -> None:
     if trace is not None:
         trace.append(f"{name} @ {where}")
+
+
+# ---------------------------------------------------------------------------
+# Matching table entries
+
+
+# a metavariable's name to the subterm it matched
+Binding = Dict[str, Formula]
+
+
+def _shape(f: Formula) -> tuple:
+    """The connective of ``f`` followed by those of its operands."""
+    if isinstance(f, (XNeg, DNeg)):
+        return type(f), type(f.child)
+    if isinstance(f, (And, Or, Impl)):
+        return type(f), type(f.left), type(f.right)
+    return (type(f),)
+
+
+class _Table:
+    """The rules of a table, with the candidates for each shape of node found
+    once: the rules whose left-hand side has the node's connective and, at
+    each operand, a metavariable or the operand's connective.  No left-hand
+    side is a bare metavariable, so a node whose connective roots none of
+    them has no candidate."""
+
+    def __init__(self, rules: Tuple[RewriteRule, ...]):
+        self.rules = [(rule, _shape(rule.lhs)) for rule in rules]
+        self.roots = {type(rule.lhs) for rule in rules}
+        self.candidates: Dict[tuple, List[RewriteRule]] = {}
+
+    def first_match(self, f: Formula) -> Optional[Tuple[RewriteRule, Binding]]:
+        """The first rule whose left-hand side matches ``f``, with its bindings."""
+        if type(f) not in self.roots:
+            return None
+        shape = _shape(f)
+        candidates = self.candidates.get(shape)
+        if candidates is None:
+            candidates = self.candidates[shape] = [
+                rule for rule, lhs in self.rules
+                if all(x is y or x is AtomRef for x, y in zip(lhs, shape))]
+        for rule in candidates:
+            binding: Binding = {}
+            if _match(rule.lhs, f, binding):
+                return rule, binding
+        return None
+
+
+_table = functools.cache(_Table)  # one matcher per table
+
+
+def _match(pattern: Formula, f: Formula, binding: Binding) -> bool:
+    if isinstance(pattern, AtomRef):
+        # an atom of a pattern is a metavariable: it matches any subterm
+        bound = binding.setdefault(pattern.atom.name, f)
+        return bound is f or bound == f
+    if type(pattern) is not type(f):
+        return False
+    if isinstance(pattern, (XNeg, DNeg)):
+        return _match(pattern.child, f.child, binding)
+    if isinstance(pattern, (And, Or, Impl)):
+        return _match(pattern.left, f.left, binding) and _match(pattern.right, f.right, binding)
+    return True
+
+
+def _instantiate(template: Formula, binding: Binding,
+                 negated: Optional[Binding] = None) -> Formula:
+    """The right-hand side ``template`` with its metavariables bound; each
+    ``not v`` with ``v`` in ``negated`` becomes ``negated[v]``."""
+    if isinstance(template, AtomRef):
+        return binding[template.atom.name]
+    if negated and isinstance(template, DNeg) and isinstance(template.child, AtomRef):
+        return negated[template.child.atom.name]
+    if isinstance(template, (XNeg, DNeg)):
+        return type(template)(_instantiate(template.child, binding, negated))
+    if isinstance(template, (And, Or, Impl)):
+        return type(template)(_instantiate(template.left, binding, negated),
+                              _instantiate(template.right, binding, negated))
+    return template
+
+
+def _negated_metavariables(template: Formula) -> List[str]:
+    """The metavariables directly under a ``not`` in ``template``, left to right."""
+    if isinstance(template, DNeg) and isinstance(template.child, AtomRef):
+        return [template.child.atom.name]
+    if isinstance(template, (XNeg, DNeg)):
+        return _negated_metavariables(template.child)
+    if isinstance(template, (And, Or, Impl)):
+        return _negated_metavariables(template.left) + _negated_metavariables(template.right)
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -189,69 +310,43 @@ def to_nnf(phi: Formula, mode: EvalMode = EvalMode.X5,
            trace: Optional[list] = None) -> Formula:
     """Drive explicit negation down to the atoms.
 
-    Works outermost-first: an explicit negation is rewritten by the head
-    connective of its operand before any subterm is visited, which guarantees
-    the weak-only implication rule never fires inside a remaining ``~`` and
-    keeps the result weakly equivalent in the selected logic.  On inputs
-    without implications only value-preserving rules fire.
+    Works outermost-first with the entries of ``NNF_RULES`` valid in
+    ``mode``: an explicit negation is rewritten by the head connective of
+    its operand before any subterm is visited, which guarantees the weak-only
+    implication rule never fires inside a remaining ``~`` and keeps the
+    result weakly equivalent in the selected logic.  On inputs without
+    implications only value-preserving rules fire.
     """
+    return _nnf(phi, _nnf_rules(mode), trace, "")
+
+
+def _nnf_rules(mode: EvalMode) -> _Table:
     if mode not in (EvalMode.X5, EvalMode.N5):
         raise ValueError(f"to_nnf supports X5 and N5 modes, not {mode}")
     _ensure_verified()
-    return _nnf(phi, mode, trace, "")
+    return _table(tuple(r for r in NNF_RULES if mode in r.modes))
 
 
-def _nnf(f: Formula, mode: EvalMode, trace: Optional[list], path: str) -> Formula:
-    if isinstance(f, (Bot, Top, AtomRef)):
-        return f
-    if isinstance(f, And):
-        return And(_nnf(f.left, mode, trace, path + "0."),
-                   _nnf(f.right, mode, trace, path + "1."))
-    if isinstance(f, Or):
-        return Or(_nnf(f.left, mode, trace, path + "0."),
-                  _nnf(f.right, mode, trace, path + "1."))
-    if isinstance(f, Impl):
-        return Impl(_nnf(f.left, mode, trace, path + "0."),
-                    _nnf(f.right, mode, trace, path + "1."))
-    if isinstance(f, DNeg):
-        return DNeg(_nnf(f.child, mode, trace, path + "0."))
-    c = f.child
-    where = path.rstrip(".") or "root"
-    if isinstance(c, AtomRef):
-        return f
-    if isinstance(c, Top):
-        _note(trace, "xneg_top", where)
-        return BOT
-    if isinstance(c, Bot):
-        _note(trace, "xneg_bot", where)
-        return TOP
-    if isinstance(c, And):
-        _note(trace, "xneg_and", where)
-        return _nnf(Or(XNeg(c.left), XNeg(c.right)), mode, trace, path)
-    if isinstance(c, Or):
-        _note(trace, "xneg_or", where)
-        return _nnf(And(XNeg(c.left), XNeg(c.right)), mode, trace, path)
-    if isinstance(c, XNeg):
-        _note(trace, "xneg_xneg", where)
-        return _nnf(c.child, mode, trace, path)
-    if isinstance(c, DNeg):
-        if mode is EvalMode.X5:
-            _note(trace, "xneg_dneg", where)
-            return _nnf(DNeg(DNeg(c.child)), mode, trace, path)
-        _note(trace, "xneg_dneg_n5", where)
-        return _nnf(c.child, mode, trace, path)
-    if isinstance(c, Impl):
-        if mode is EvalMode.X5:
-            _note(trace, "xneg_impl", where)
-            return _nnf(And(DNeg(DNeg(c.left)), XNeg(c.right)), mode, trace, path)
-        _note(trace, "xneg_impl_n5", where)
-        return _nnf(And(c.left, XNeg(c.right)), mode, trace, path)
-    raise TypeError(f"cannot rewrite {type(f).__name__}")
+def _nnf(f: Formula, rules: _Table, trace: Optional[list], path: str) -> Formula:
+    hit = rules.first_match(f)
+    if hit is not None:
+        rule, binding = hit
+        _note(trace, rule.name, path.rstrip(".") or "root")
+        return _nnf(_instantiate(rule.rhs, binding), rules, trace, path)
+    if isinstance(f, (And, Or, Impl)):
+        left = _nnf(f.left, rules, trace, path + "0.")
+        right = _nnf(f.right, rules, trace, path + "1.")
+        return f if left is f.left and right is f.right else type(f)(left, right)
+    if isinstance(f, (XNeg, DNeg)):
+        child = _nnf(f.child, rules, trace, path + "0.")
+        return f if child is f.child else type(f)(child)
+    return f
 
 
 def to_nnf_program(p: Program, mode: EvalMode = EvalMode.X5,
                    trace: Optional[list] = None) -> Program:
-    return Program(Rule(to_nnf(r.body, mode, trace), to_nnf(r.head, mode, trace))
+    rules = _nnf_rules(mode)
+    return Program(Rule(_nnf(r.body, rules, trace, ""), _nnf(r.head, rules, trace, ""))
                    for r in p)
 
 
@@ -277,16 +372,17 @@ def to_regular(p: Program, eliminate_head_dneg: bool = False,
     raise :class:`RewriteBudgetExceeded`.
     """
     _ensure_verified()
+    regular_rules, fold_rules = _table(REGULAR_RULES), _table(FOLD_RULES)
     out: List[Rule] = []
     falsum = False
     for i, r in enumerate(p):
         if not (is_nnf(r.body) and is_nnf(r.head)):
             raise NotInNNF(f"rule {i} is not in negation normal form: {r!r}")
         where = f"rule {i}"
-        body = simplify_constants(_push_dneg(r.body, trace, where))
-        head = simplify_constants(_push_dneg(r.head, trace, where))
-        body_alts = _dnf(body, trace, where)
-        head_alts = _cnf(head, trace, where)
+        body = _fold(_push_dneg(r.body, regular_rules, trace, where), fold_rules)
+        head = _fold(_push_dneg(r.head, regular_rules, trace, where), fold_rules)
+        body_alts = _alternatives(body, Or, And, Bot, "dist_and_or", trace, where)
+        head_alts = _alternatives(head, And, Or, Top, "dist_or_and", trace, where)
         if not body_alts or not head_alts:
             _note(trace, "drop_trivial_rule", where)
             continue
@@ -315,118 +411,100 @@ def to_regular(p: Program, eliminate_head_dneg: bool = False,
                         else:
                             kept.append(x)
                     new_head = kept
-                new_body = _dedupe(new_body)
-                new_head = _dedupe(new_head)
+                new_body = list(dict.fromkeys(new_body))
+                new_head = list(dict.fromkeys(new_head))
                 if not new_body and not new_head:
                     falsum = True
                     continue
-                out.append(Rule(_chain(And, new_body, TOP),
-                                _chain(Or, new_head, BOT)))
+                out.append(Rule(functools.reduce(And, new_body) if new_body else TOP,
+                                functools.reduce(Or, new_head) if new_head else BOT))
     if falsum:
-        pivot = _falsum_pivot(p)
+        pivot = min(atoms(p), default=Atom("unsat0"))
         _note(trace, "falsum_rule_split", "program")
         out.append(Rule(AtomRef(pivot), BOT))
         out.append(Rule(DNeg(AtomRef(pivot)), BOT))
     return Program(out)
 
 
-def _push_dneg(f: Formula, trace: Optional[list], where: str) -> Formula:
+def _push_dneg(f: Formula, rules: _Table, trace: Optional[list], where: str) -> Formula:
     """Distribute ``not`` over the lattice connectives and cap chains at two."""
     if isinstance(f, (And, Or)):
-        kind = type(f)
-        return kind(_push_dneg(f.left, trace, where), _push_dneg(f.right, trace, where))
+        return type(f)(_push_dneg(f.left, rules, trace, where),
+                       _push_dneg(f.right, rules, trace, where))
     if isinstance(f, DNeg):
-        return _dneg_of(_push_dneg(f.child, trace, where), trace, where)
+        return _dneg_of(_push_dneg(f.child, rules, trace, where), rules, trace, where)
     return f
 
 
-def _dneg_of(g: Formula, trace: Optional[list], where: str) -> Formula:
-    if isinstance(g, Top):
-        _note(trace, "dneg_top", where)
-        return BOT
-    if isinstance(g, Bot):
-        _note(trace, "dneg_bot", where)
-        return TOP
-    if isinstance(g, And):
-        _note(trace, "dneg_and", where)
-        return Or(_dneg_of(g.left, trace, where), _dneg_of(g.right, trace, where))
-    if isinstance(g, Or):
-        _note(trace, "dneg_or", where)
-        return And(_dneg_of(g.left, trace, where), _dneg_of(g.right, trace, where))
-    if isinstance(g, DNeg) and isinstance(g.child, DNeg):
-        _note(trace, "triple_dneg", where)
-        return g.child
-    return DNeg(g)
+def _dneg_of(g: Formula, rules: _Table, trace: Optional[list], where: str) -> Formula:
+    """``not g`` rewritten by the ``not`` entries of ``REGULAR_RULES``, for an
+    already pushed ``g``.  Each ``not v`` a right-hand side introduces is
+    pushed here by a direct call, so a chain costs one frame per level and
+    no pushed subterm is walked again."""
+    f = DNeg(g)
+    hit = rules.first_match(f)
+    if hit is None:
+        return f
+    rule, binding = hit
+    _note(trace, rule.name, where)
+    negated = {}
+    for v in _negated_metavariables(rule.rhs):
+        negated[v] = _dneg_of(binding[v], rules, trace, where)
+    return _instantiate(rule.rhs, binding, negated)
 
 
 def _is_double_dneg(f: Formula) -> bool:
     return isinstance(f, DNeg) and isinstance(f.child, DNeg)
 
 
-def _dnf(f: Formula, trace: Optional[list], where: str) -> List[List[Formula]]:
-    if isinstance(f, Bot):
-        return []
-    if isinstance(f, Top):
-        return [[]]
-    if isinstance(f, Or):
-        return _dnf(f.left, trace, where) + _dnf(f.right, trace, where)
-    if isinstance(f, And):
-        left = _dnf(f.left, trace, where)
-        right = _dnf(f.right, trace, where)
+def _alternatives(f: Formula, outer: type, inner: type, empty: type, name: str,
+                  trace: Optional[list], where: str) -> List[List[Formula]]:
+    """``f`` as alternatives joined by ``outer``, each a list of items joined
+    by ``inner``: the disjunctive normal form of a body (``outer`` is ``Or``,
+    ``empty`` is ``Bot``) or the conjunctive one of a head.  Distributing
+    ``inner`` over ``outer`` notes ``name``."""
+    if isinstance(f, (Top, Bot)):
+        return [] if isinstance(f, empty) else [[]]
+    if isinstance(f, outer):
+        return (_alternatives(f.left, outer, inner, empty, name, trace, where)
+                + _alternatives(f.right, outer, inner, empty, name, trace, where))
+    if isinstance(f, inner):
+        left = _alternatives(f.left, outer, inner, empty, name, trace, where)
+        right = _alternatives(f.right, outer, inner, empty, name, trace, where)
         if len(left) > 1 and len(right) > 1:
-            _note(trace, "dist_and_or", where)
-        _check_budget(len(left) * len(right))
-        return [cl + cr for cl in left for cr in right]
+            _note(trace, name, where)
+        n = len(left) * len(right)
+        if n > MAX_ALTERNATIVES:
+            raise RewriteBudgetExceeded(
+                f"distribution produced {n} alternatives, budget is {MAX_ALTERNATIVES}")
+        return [x + y for x in left for y in right]
     return [[f]]
 
 
-def _cnf(f: Formula, trace: Optional[list], where: str) -> List[List[Formula]]:
-    if isinstance(f, Top):
-        return []
-    if isinstance(f, Bot):
-        return [[]]
-    if isinstance(f, And):
-        return _cnf(f.left, trace, where) + _cnf(f.right, trace, where)
-    if isinstance(f, Or):
-        left = _cnf(f.left, trace, where)
-        right = _cnf(f.right, trace, where)
-        if len(left) > 1 and len(right) > 1:
-            _note(trace, "dist_or_and", where)
-        _check_budget(len(left) * len(right))
-        return [dl + dr for dl in left for dr in right]
-    return [[f]]
+# ---------------------------------------------------------------------------
+# Constant folding
 
 
-def _check_budget(n: int) -> None:
-    if n > MAX_ALTERNATIVES:
-        raise RewriteBudgetExceeded(
-            f"distribution produced {n} alternatives, budget is {MAX_ALTERNATIVES}")
+def simplify_constants(phi: Formula) -> Formula:
+    """Fold ``top``/``bot`` through connectives and collapse double ``~``.
+
+    Bottom-up with the entries of ``FOLD_RULES``, each of which preserves the
+    five-valued value at every interpretation in X5 and N5, so results may be
+    substituted for their originals in any context.
+    """
+    _ensure_verified()
+    return _fold(phi, _table(FOLD_RULES))
 
 
-def _dedupe(items: List[Formula]) -> List[Formula]:
-    seen = set()
-    kept = []
-    for x in items:
-        if x not in seen:
-            seen.add(x)
-            kept.append(x)
-    return kept
-
-
-def _chain(kind, items: List[Formula], empty: Formula) -> Formula:
-    if not items:
-        return empty
-    result = items[0]
-    for x in items[1:]:
-        result = kind(result, x)
-    return result
-
-
-def _falsum_pivot(p: Program) -> Atom:
-    sig = sorted(atoms(p))
-    if sig:
-        return sig[0]
-    return Atom("unsat0")
+def _fold(f: Formula, rules: _Table) -> Formula:
+    if isinstance(f, (And, Or, Impl)):
+        left, right = _fold(f.left, rules), _fold(f.right, rules)
+        f = f if left is f.left and right is f.right else type(f)(left, right)
+    elif isinstance(f, (XNeg, DNeg)):
+        child = _fold(f.child, rules)
+        f = f if child is f.child else type(f)(child)
+    hit = rules.first_match(f)
+    return f if hit is None else _instantiate(hit[0].rhs, hit[1])
 
 
 # ---------------------------------------------------------------------------

@@ -111,48 +111,55 @@ def _implies(full: int, a: Levels, b: Levels) -> Levels:
 
 
 class Chunk:
-    """One block of consecutive points, with the masks of every atom on it."""
+    """One block of consecutive points, with the masks of every atom on it.
 
-    __slots__ = ("full", "_fixed", "_inner", "_atoms", "_memo")
+    Compiling memoizes within one ``levels`` or ``designated`` call, so a
+    subterm shared inside the formula, as in ``iff(alpha, beta)``, is
+    compiled once and no mask outlives the call."""
+
+    __slots__ = ("full", "_fixed", "_inner", "atom_levels")
 
     def __init__(self, full: int, fixed: Dict[Atom, int], inner: List[Atom],
                  atom_levels: Dict[Atom, Levels]):
         self.full = full
         self._fixed = fixed
         self._inner = inner
-        self._atoms = atom_levels
-        self._memo: Dict[int, tuple] = {}
+        self.atom_levels = atom_levels
 
     def levels(self, f: Formula) -> Levels:
         """The masks of ``value >= k`` for k = -1, 0, 1, 2."""
-        hit = self._memo.get(id(f))
-        if hit is None:
-            # the node is stored with its masks so that its id stays unique
-            hit = self._memo[id(f)] = (f, self._compile(f))
-        return hit[1]
+        return self._levels(f, {})
 
     def designated(self, f: Formula) -> int:
         """The points where ``f`` takes the value 2."""
-        return self.levels(f)[3]
+        return self._levels(f, {})[3]
 
-    def _compile(self, f: Formula) -> Levels:
+    def _levels(self, f: Formula, memo: Dict[int, Levels]) -> Levels:
+        # the formula outlives the call, so the ids of its nodes stay unique
+        hit = memo.get(id(f))
+        if hit is None:
+            hit = memo[id(f)] = self._compile(f, memo)
+        return hit
+
+    def _compile(self, f: Formula, memo: Dict[int, Levels]) -> Levels:
         full = self.full
         if isinstance(f, Top):
             return (full, full, full, full)
         if isinstance(f, Bot):
             return _NOWHERE
         if isinstance(f, AtomRef):
-            return self._atoms[f.atom]
-        if isinstance(f, And):
-            return tuple(x & y for x, y in zip(self.levels(f.left), self.levels(f.right)))
-        if isinstance(f, Or):
-            return tuple(x | y for x, y in zip(self.levels(f.left), self.levels(f.right)))
+            return self.atom_levels[f.atom]
         if isinstance(f, XNeg):
-            return tuple(full ^ x for x in reversed(self.levels(f.child)))
+            return tuple(full ^ x for x in reversed(self._levels(f.child, memo)))
         if isinstance(f, DNeg):
-            return _implies(full, self.levels(f.child), _NOWHERE)
-        if isinstance(f, Impl):
-            return _implies(full, self.levels(f.left), self.levels(f.right))
+            return _implies(full, self._levels(f.child, memo), _NOWHERE)
+        if isinstance(f, (And, Or, Impl)):
+            left, right = self._levels(f.left, memo), self._levels(f.right, memo)
+            if isinstance(f, And):
+                return tuple(x & y for x, y in zip(left, right))
+            if isinstance(f, Or):
+                return tuple(x | y for x, y in zip(left, right))
+            return _implies(full, left, right)
         raise TypeError(f"cannot evaluate {type(f).__name__}")
 
     def values(self, bit: int) -> Dict[Atom, int]:
@@ -237,8 +244,8 @@ def minimal_totals(signature: Iterable[Atom], max_atoms: int,
                for a in space.lead + space.inner for v in (2, -2)}
     found = []
     for there in itertools.product(_TRI_STATES, repeat=len(space.lead)):
-        total_states = [2 * v for v in there]
-        sat = relation(space.chunk(total_states))
+        chunk = space.chunk([2 * v for v in there])
+        sat = relation(chunk)
         candidates = sat & total & ~fold(sat & ~total)
         smaller = itertools.product(*[(2 * v, v) if v else (0,) for v in there])
         next(smaller)  # the total variant, already read
@@ -246,11 +253,9 @@ def minimal_totals(signature: Iterable[Atom], max_atoms: int,
             if not candidates:
                 break
             candidates &= ~fold(relation(space.chunk(states)))
-        # a fresh chunk decodes the bits: the masks built so far are not held
-        decoder = space.chunk(total_states)
         while candidates:
             low = candidates & -candidates
-            values = decoder.values(low.bit_length() - 1).items()
+            values = chunk.values(low.bit_length() - 1).items()
             found.append(Interpretation(literal[a, v] for a, v in values if v))
             candidates ^= low
     return found

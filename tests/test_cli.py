@@ -284,6 +284,19 @@ class TestTransformCommands:
         assert (code, out) == (3, "")
         assert err.startswith("error:")
 
+    def test_rewriters_handle_450_member_chains(self, tmp_path, capsys):
+        # the rewriters recurse once or twice per level, as printing does:
+        # a chain of 450 stays below the interpreter's default limit
+        members = 450
+        code, out, _ = run(capsys, "nnf", "~(" + " & ".join(["p"] * members) + ")")
+        assert (code, out) == (0, " | ".join(["~p"] * members) + "\n")
+        conj = " & ".join(f"p{i}" for i in range(members))
+        code, out, _ = run(capsys, "regular", write(tmp_path, "not.x5", f"not ({conj}).\n"))
+        assert (code, out) == (0, " | ".join(f"not p{i}" for i in range(members)) + ".\n")
+        facts = write(tmp_path, "and.x5", " & ".join(["p"] * members) + ".\n")
+        code, out, _ = run(capsys, "reduct", "--wrt", "{p}", facts)
+        assert (code, out) == (0, " & ".join(["p"] * members) + ".\n")
+
     def test_regular_over_budget_exits_3(self, tmp_path, capsys):
         wide = " & ".join(f"(a{i} | b{i})" for i in range(17)) + " -> c.\n"
         code, out, err = run(capsys, "regular", write(tmp_path, "wide.x5", wide))

@@ -1,12 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
 
 from conftest import formulas, nested_formulas, programs, x5_interps
 from genutil import random_program
+from reference_rewriters import ref_nnf, ref_push_dneg, ref_simplify_constants
 from eqlx import (
     BOT,
+    TOP,
     And,
     Atom,
     CrossEncoding,
@@ -31,6 +34,7 @@ from eqlx import (
     is_regular,
     parse_formula,
     parse_program,
+    simplify_constants,
     subst_equiv,
     to_nnf,
     to_nnf_program,
@@ -39,9 +43,19 @@ from eqlx import (
     verify_rewrite_rules,
     weak_equiv,
 )
+from eqlx import reduct, transform
+from eqlx.transform import FOLD_RULES, NNF_RULES, REGULAR_RULES, RewriteRule
 
 p, q = atom("p"), atom("q")
 P, Q = Atom("p"), Atom("q")
+a, b = atom("a"), atom("b")
+
+modes = st.sampled_from([EvalMode.X5, EvalMode.N5])
+TABLE_NAMES = {r.name for r in NNF_RULES + REGULAR_RULES + FOLD_RULES}
+
+
+def _names(trace):
+    return {entry.split(" @ ")[0] for entry in trace}
 
 
 class TestRuleTable:
@@ -65,6 +79,96 @@ class TestRuleTable:
         m = X5Interpretation.from_values({P: 1})
         assert value5(m, left, EvalMode.N5) == -2
         assert value5(m, right, EvalMode.N5) == -1
+
+
+    def test_folding_entries_hold_in_both_logics(self):
+        assert all(r.modes == (EvalMode.X5, EvalMode.N5) for r in FOLD_RULES)
+
+    def test_traced_regularization_names_are_entries(self):
+        assert {"head_dneg_elim", "falsum_rule_split", "drop_trivial_rule"} <= TABLE_NAMES
+
+    def test_user_atoms_named_like_metavariables(self):
+        assert to_nnf(parse_formula("~(b & a)")) == parse_formula("~b | ~a")
+        assert simplify_constants(parse_formula("top & b -> a")) == Impl(b, a)
+        assert to_regular(parse_program("not (b & a) -> c.")) == \
+            parse_program("not b -> c.\nnot a -> c.")
+
+
+def _tampered(table, name, rhs):
+    return tuple(RewriteRule(r.name, r.lhs, rhs, r.strength, r.modes) if r.name == name else r
+                 for r in table)
+
+
+class TestTablesAreTheRewriters:
+    @pytest.mark.parametrize("table, name, rhs, rewrite, before, after", [
+        ("NNF_RULES", "xneg_and", And(XNeg(a), XNeg(b)),
+         lambda: to_nnf(parse_formula("~(p & q)")), "~p | ~q", "~p & ~q"),
+        ("REGULAR_RULES", "dneg_and", And(DNeg(a), DNeg(b)),
+         lambda: to_regular(parse_program("not (p & q) -> r.")),
+         "not p -> r.\nnot q -> r.", "not p & not q -> r."),
+        ("FOLD_RULES", "top_impl", TOP,
+         lambda: simplify_constants(parse_formula("top -> p")), "p", "top"),
+    ])
+    def test_a_wrong_entry_fails_verification_and_changes_the_output(
+            self, monkeypatch, table, name, rhs, rewrite, before, after):
+        parse = parse_formula if table != "REGULAR_RULES" else parse_program
+        assert rewrite() == parse(before)
+        monkeypatch.setattr(transform, table, _tampered(getattr(transform, table), name, rhs))
+        with pytest.raises(AssertionError, match=name):
+            verify_rewrite_rules()
+        monkeypatch.setattr(transform, "_ensure_verified", lambda: None)
+        assert rewrite() == parse(after)
+
+
+class TestTablesMatchHandWrittenRewriters:
+    @given(formulas, modes, st.booleans())
+    @example(parse_formula("~(a & not b -> ~ ~c | top)"), EvalMode.X5, True)
+    @example(parse_formula("~ not ~(a -> bot)"), EvalMode.N5, True)
+    @settings(max_examples=200)
+    def test_nnf(self, f, mode, traced):
+        got, want = ([], []) if traced else (None, None)
+        assert to_nnf(f, mode, got) == ref_nnf(f, mode, want)
+        assert got == want
+
+    @given(formulas, modes, st.booleans())
+    @example(parse_formula("not not not (a & (not top | not not not b)) | not (bot | c)"),
+             EvalMode.X5, True)
+    @settings(max_examples=200)
+    def test_push_dneg(self, f, mode, traced):
+        rules = transform._table(REGULAR_RULES)
+        for g in (to_nnf(f, mode), DNeg(DNeg(DNeg(to_nnf(f, mode))))):
+            got, want = ([], []) if traced else (None, None)
+            assert transform._push_dneg(g, rules, got, "rule 0") == ref_push_dneg(g, want, "rule 0")
+            assert got == want
+
+    @given(formulas)
+    @example(parse_formula("(bot & a | top & ~ ~b) -> not (top -> ~top) | (a -> top)"))
+    @settings(max_examples=200)
+    def test_simplify_constants(self, f):
+        assert simplify_constants(f) == ref_simplify_constants(f)
+
+    def test_folding_moved_out_of_the_reducts(self):
+        assert "simplify_constants" not in reduct.__all__
+        assert not hasattr(reduct, "simplify_constants")
+
+
+class TestTraceNamesAreVerifiedEntries:
+    @given(formulas, modes)
+    def test_nnf(self, f, mode):
+        trace = []
+        to_nnf(f, mode, trace)
+        assert _names(trace) <= TABLE_NAMES
+
+    @given(programs, st.booleans())
+    @example(parse_program("bot."), False)
+    @example(parse_program("bot -> p.\np -> top."), False)
+    @example(parse_program("p -> q | not r."), True)
+    @example(parse_program("p & not not q -> r | not not s."), True)
+    @settings(max_examples=150)
+    def test_regular(self, prog, eliminate_head_dneg):
+        trace = []
+        to_regular(to_nnf_program(prog, trace=trace), eliminate_head_dneg, trace)
+        assert _names(trace) <= TABLE_NAMES
 
 
 class TestNNF:

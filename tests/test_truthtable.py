@@ -75,6 +75,25 @@ def test_masks_match_value5_at_every_point():
     assert seen == {Top, Bot, AtomRef, XNeg, DNeg, And, Or, Impl}
 
 
+def test_a_call_compiles_each_shared_node_once_and_keeps_nothing():
+    p, q = AtomRef(Atom("p")), AtomRef(Atom("q"))
+    alpha, beta = And(p, q), Or(q, p)
+    chunk = _only_chunk([Atom("p"), Atom("q")])
+    compiled = []
+    original = truthtable.Chunk._compile
+
+    def counting(self, f, memo):
+        compiled.append(f)
+        return original(self, f, memo)
+
+    with mock.patch.object(truthtable.Chunk, "_compile", counting):
+        first = chunk.levels(iff(alpha, beta))
+        # the conjunction, two implications, alpha, beta, p and q
+        assert len(compiled) == 7
+        assert chunk.levels(iff(alpha, beta)) == first
+        assert len(compiled) == 14
+
+
 def test_chunks_hold_at_most_five_to_the_seventh_points():
     sig = [Atom(f"a{i}") for i in range(9)]
     sizes = [c.full.bit_length() for c in chunks(sig, 12)]
