@@ -345,7 +345,7 @@ def _cmd_regular(args) -> int:
     trace: Optional[List[str]] = [] if args.rule_trace else None
     regular = _regularize(args, "regularization requires a program", trace)
     _print_trace(trace)
-    rule_lines = [canonical_print(r) for r in regular]
+    rule_lines = canonical_print(regular).splitlines()
     _emit(args, {"rules": rule_lines}, text_lines=rule_lines)
     return 0
 

@@ -3,15 +3,20 @@
 Formulas combine explicit negation ``~`` (constructive falsity) with default
 negation ``not`` (negation as failure) over the usual connectives.  Every type
 in this module is immutable, hashable and compared structurally, so values can
-be shared freely between threads.
+be shared freely between threads.  A formula node computes its hash once, on
+the first ``hash()``, and caches it in its ``_hash`` slot; the value is the one
+the dataclass derives from the node's fields.  That write is the only one
+after construction, and it is idempotent: every thread that makes it stores
+the same value, so a node stays immutable in effect and safe to share.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Union
 
 __all__ = [
     "Atom",
@@ -115,7 +120,17 @@ class Formula:
     negation).  Default negation has no operator; use :class:`DNeg`.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        # hash(fields), as the dataclass would compute it, computed once.  The
+        # fields are read before the tuple is hashed, so a deep tree still
+        # costs one frame per level on its first hash.
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self._field_tuple(self))
+            _store_hash(self, h)
+        return h
 
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
@@ -133,29 +148,49 @@ class Formula:
         return canonical_print(self)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+def _node(cls: type) -> type:
+    """A formula node: a frozen, slotted dataclass whose hash
+    :meth:`Formula.__hash__` caches."""
+    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
+    names = cls.__slots__  # the fields
+    if len(names) > 1:
+        cls._field_tuple = operator.attrgetter(*names)
+    elif names:  # attrgetter would return the bare value, not a 1-tuple
+        get = operator.attrgetter(*names)
+        cls._field_tuple = staticmethod(lambda f: (get(f),))
+    else:
+        cls._field_tuple = staticmethod(lambda f: ())
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+# writes the slot past the frozen dataclass's __setattr__
+_store_hash = Formula._hash.__set__
+
+
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class AtomRef(Formula):
     atom: Atom
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class XNeg(Formula):
     """Explicit negation node (printed ``~``)."""
 
     child: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class DNeg(Formula):
     """Default negation node (printed ``not``).
 
@@ -167,19 +202,19 @@ class DNeg(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Impl(Formula):
     left: Formula
     right: Formula
@@ -598,20 +633,33 @@ def _wrap(f: Formula, parent_prec: int, right_of_same: bool = False) -> str:
     return s
 
 
-def _print_rule(r: Rule) -> str:
+def _print_side(f: Formula, printed: Dict[Formula, str]) -> str:
+    text = printed.get(f)
+    if text is None:
+        text = printed[f] = _print_formula(f)
+    return text
+
+
+def _print_rule(r: Rule, printed: Dict[Formula, str]) -> str:
+    """``r`` printed, with its sides looked up in or added to ``printed``."""
+    head = _print_side(r.head, printed)
     if isinstance(r.body, Top):
-        return f"{_print_formula(r.head)}."
-    return f"{_print_formula(r.body)} -> {_print_formula(r.head)}."
+        return f"{head}."
+    return f"{_print_side(r.body, printed)} -> {head}."
 
 
 def canonical_print(x) -> str:
-    """Deterministic ASCII rendering; the parser accepts everything emitted."""
+    """Deterministic ASCII rendering; the parser accepts everything emitted.
+
+    A program prints each distinct rule body and head once: regularization
+    shares them between many rules."""
     if isinstance(x, Formula):
         return _print_formula(x)
     if isinstance(x, Rule):
-        return _print_rule(x)
+        return _print_rule(x, {})
     if isinstance(x, Program):
-        return "".join(_print_rule(r) + "\n" for r in x)
+        printed: Dict[Formula, str] = {}
+        return "".join(_print_rule(r, printed) + "\n" for r in x)
     if isinstance(x, Theory):
         return "".join(_print_formula(f) + ".\n" for f in x)
     if isinstance(x, (Interpretation, X5Interpretation, ExplicitLiteral)):

@@ -10,8 +10,14 @@ a rewriter runs, so a wrong rule announces itself immediately.  Rules
 marked ``subst`` preserve the value at every interpretation and may fire in
 any context; rules marked ``weak`` only preserve designatedness and are
 applied outermost-first so that they never fire inside an explicit negation.
-The distribution and rule splitting of :func:`to_regular` work on lists and
-stay hand-written; the names they trace are verified table entries too.
+The distribution and rule splitting of :func:`to_regular` stay hand-written;
+the names they trace are verified table entries too.  Distribution turns a
+rule into alternatives of its body and of its head, and every (body, head)
+pair becomes a rule.  Each alternative is split once, into the items it keeps
+joined in one ``&``/``|`` chain and the ``not not`` items it shifts across,
+so a pair only extends the two shared chains by the few shifted items; the
+cost is linear in the rules produced.  :func:`export_asp` and
+``canonical_print`` render each distinct shared side once.
 """
 
 from __future__ import annotations
@@ -390,34 +396,22 @@ def to_regular(p: Program, eliminate_head_dneg: bool = False,
             _note(trace, "body_or_split", where)
         if len(head_alts) > 1:
             _note(trace, "head_and_split", where)
-        for conj in body_alts:
-            for disj in head_alts:
-                new_body = [x for x in conj if not _is_double_dneg(x)]
-                new_head = [x for x in disj if not _is_double_dneg(x)]
-                for x in conj:
-                    if _is_double_dneg(x):
-                        _note(trace, "body_dneg_shift", where)
-                        new_head.append(DNeg(x.child.child))
-                for x in disj:
-                    if _is_double_dneg(x):
-                        _note(trace, "head_dneg_shift", where)
-                        new_body.append(DNeg(x.child.child))
-                if eliminate_head_dneg:
-                    kept = []
-                    for x in new_head:
-                        if isinstance(x, DNeg):
-                            _note(trace, "head_dneg_elim", where)
-                            new_body.append(DNeg(DNeg(x.child)))
-                        else:
-                            kept.append(x)
-                    new_head = kept
-                new_body = list(dict.fromkeys(new_body))
-                new_head = list(dict.fromkeys(new_head))
-                if not new_body and not new_head:
+        bodies = [_split_body(conj, eliminate_head_dneg) for conj in body_alts]
+        heads = [_split_head(disj, eliminate_head_dneg) for disj in head_alts]
+        if trace is not None:
+            shift_body, shift_head, elim = (f"{name} @ {where}" for name in (
+                "body_dneg_shift", "head_dneg_shift", "head_dneg_elim"))
+        for b in bodies:
+            for h in heads:
+                if trace is not None:
+                    trace += ([shift_body] * b.shifted + [shift_head] * h.shifted
+                              + [elim] * (b.eliminated + h.eliminated))
+                body = _extend(b, h.across + b.last, And)
+                head = _extend(h, b.across, Or)
+                if body is None and head is None:
                     falsum = True
                     continue
-                out.append(Rule(functools.reduce(And, new_body) if new_body else TOP,
-                                functools.reduce(Or, new_head) if new_head else BOT))
+                out.append(Rule(TOP if body is None else body, BOT if head is None else head))
     if falsum:
         pivot = min(atoms(p), default=Atom("unsat0"))
         _note(trace, "falsum_rule_split", "program")
@@ -455,6 +449,60 @@ def _dneg_of(g: Formula, rules: _Table, trace: Optional[list], where: str) -> Fo
 
 def _is_double_dneg(f: Formula) -> bool:
     return isinstance(f, DNeg) and isinstance(f.child, DNeg)
+
+
+class _Side:
+    """One alternative of a rule side, split once for all the rules it is in.
+
+    ``kept`` are the items that stay on this side, in order and without
+    repeats, and ``chain`` joins them (None when there are none).  Each rule
+    appends the other side's ``across`` items, then this side's ``last``
+    ones.  ``shifted`` counts the ``not not`` items that move across and
+    ``eliminated`` the ``not`` items that leave a head; each rule notes
+    them."""
+
+    __slots__ = ("kept", "chain", "across", "last", "shifted", "eliminated")
+
+    def __init__(self, kept: List[Formula], join: type, across: List[Formula],
+                 last: List[Formula], shifted: int, eliminated: int):
+        self.kept = dict.fromkeys(kept)
+        self.chain = functools.reduce(join, self.kept) if self.kept else None
+        self.across, self.last = across, last
+        self.shifted, self.eliminated = shifted, eliminated
+
+
+def _split_body(conj: List[Formula], eliminate_head_dneg: bool) -> _Side:
+    """A body alternative: each ``not not L`` moves to the head as ``not L``;
+    when heads may not hold ``not``, it comes back to the end of the body."""
+    kept = [x for x in conj if not _is_double_dneg(x)]
+    doubled = [x for x in conj if _is_double_dneg(x)]
+    if eliminate_head_dneg:
+        return _Side(kept, And, [], doubled, len(doubled), len(doubled))
+    return _Side(kept, And, [DNeg(x.child.child) for x in doubled], [], len(doubled), 0)
+
+
+def _split_head(disj: List[Formula], eliminate_head_dneg: bool) -> _Side:
+    """A head alternative: each ``not not L`` moves to the body as ``not L``;
+    when heads may not hold ``not``, each ``not L`` then moves there as
+    ``not not L``."""
+    kept = [x for x in disj if not _is_double_dneg(x)]
+    across = [DNeg(x.child.child) for x in disj if _is_double_dneg(x)]
+    shifted = len(across)
+    moved = [x for x in kept if isinstance(x, DNeg)] if eliminate_head_dneg else []
+    if moved:
+        kept = [x for x in kept if not isinstance(x, DNeg)]
+        across += [DNeg(x) for x in moved]
+    return _Side(kept, Or, across, [], shifted, len(moved))
+
+
+def _extend(side: _Side, extra: List[Formula], join: type) -> Optional[Formula]:
+    """``side``'s chain joined with the items of ``extra`` it does not hold yet."""
+    chain = side.chain
+    if extra:
+        for x in dict.fromkeys(extra):
+            if x not in side.kept:
+                chain = x if chain is None else join(chain, x)
+    return chain
 
 
 def _alternatives(f: Formula, outer: type, inner: type, empty: type, name: str,
@@ -518,20 +566,30 @@ def export_asp(p: Program) -> str:
     head renders as a constraint.  Doubled default negation in bodies (from
     ``eliminate_head_dneg``) prints as ``not not``.
     """
+    heads: Dict[Formula, str] = {}  # each distinct head and body rendered once
+    bodies: Dict[Formula, str] = {}
     lines = []
     for i, r in enumerate(p):
-        body_items = [] if isinstance(r.body, Top) else list(_conjuncts(r.body))
-        head_items = [] if isinstance(r.head, Bot) else list(_disjuncts(r.head))
-        if not body_items and not head_items:
+        if isinstance(r.body, Top) and isinstance(r.head, Bot):
             raise NotRegular(f"rule {i} has an empty body and an empty head")
-        head_txt = " ; ".join(_render_literal(x, i) for x in head_items)
-        if body_items:
-            body_txt = ", ".join(_render_literal(x, i, allow_double=True)
-                                 for x in body_items)
-            lines.append(f"{head_txt} :- {body_txt}." if head_txt else f":- {body_txt}.")
-        else:
+        head_txt = "" if isinstance(r.head, Bot) else _render(r.head, heads, _disjuncts, " ; ", i)
+        if isinstance(r.body, Top):
             lines.append(f"{head_txt}.")
+        else:
+            body_txt = _render(r.body, bodies, _conjuncts, ", ", i, allow_double=True)
+            lines.append(f"{head_txt} :- {body_txt}." if head_txt else f":- {body_txt}.")
     return "".join(line + "\n" for line in lines)
+
+
+def _render(f: Formula, rendered: Dict[Formula, str], items, sep: str, rule_index: int,
+            allow_double: bool = False) -> str:
+    """The literals ``items(f)`` joined by ``sep``, looked up in or added to
+    ``rendered``."""
+    text = rendered.get(f)
+    if text is None:
+        text = rendered[f] = sep.join(_render_literal(x, rule_index, allow_double)
+                                      for x in items(f))
+    return text
 
 
 def _render_literal(f: Formula, rule_index: int, allow_double: bool = False) -> str:

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -296,6 +297,32 @@ class TestTransformCommands:
         facts = write(tmp_path, "and.x5", " & ".join(["p"] * members) + ".\n")
         code, out, _ = run(capsys, "reduct", "--wrt", "{p}", facts)
         assert (code, out) == (0, " & ".join(["p"] * members) + ".\n")
+
+    def test_regular_and_export_of_a_distribution_program(self, tmp_path, capsys):
+        # each rule (x1 | y1) & ... & (x5 | y5) -> (u1 & v1) | ... | (u5 & v5)
+        # becomes 2^5 bodies times 2^5 heads, in the order of the choices
+        def pairs(tag, left, right, prefixes):
+            return [(f"{s}{tag}{left}{i}", f"{t}{tag}{right}{i}")
+                    for i, (s, t) in enumerate(prefixes, 1)]
+        rules = [(pairs(tag, "x", "y", [("", "not "), ("~", ""), ("", "not ~"), ("not ", ""),
+                                        ("", "~")]),
+                  pairs(tag, "u", "v", [("", ""), ("not ", ""), ("", "~"), ("~", "not ~"),
+                                        ("", "")]))
+                 for tag in "ab"]
+        path = write(tmp_path, "k5.x5", "".join(
+            " & ".join(f"({x} | {y})" for x, y in body) + " -> "
+            + " | ".join(f"({u} & {v})" for u, v in head) + ".\n" for body, head in rules))
+        choices = [(b, h) for body, head in rules
+                   for b in product(*body) for h in product(*head)]
+        assert len(choices) == 2 * 1024
+        code, out, err = run(capsys, "regular", "--json", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["rules"] == [
+            f"{' & '.join(b)} -> {' | '.join(h)}." for b, h in choices]
+        code, out, err = run(capsys, "export", path)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"{' ; '.join(h)} :- {', '.join(b)}.".replace("~", "-") for b, h in choices]
 
     def test_regular_over_budget_exits_3(self, tmp_path, capsys):
         wide = " & ".join(f"(a{i} | b{i})" for i in range(17)) + " -> c.\n"

@@ -1,15 +1,20 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import ATOMS, formulas, x5_interps
+from conftest import ATOMS, formulas, nested_formulas, x5_interps
 from eqlx import (
     BOT,
     TOP,
     And,
     Atom,
+    AtomRef,
+    Bot,
     DNeg,
     ExplicitLiteral,
+    Formula,
     Impl,
     InconsistentLiterals,
     Interpretation,
@@ -18,6 +23,7 @@ from eqlx import (
     Program,
     Rule,
     Theory,
+    Top,
     X5Interpretation,
     XNeg,
     atom,
@@ -206,6 +212,91 @@ class TestCanonicalPrint:
     def test_roundtrip(self, phi):
         assert parse_formula(canonical_print(phi)) == phi
 
+    @given(st.lists(nested_formulas, min_size=2, max_size=3),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8))
+    def test_program_with_shared_sides_prints_rule_by_rule(self, sides, picks):
+        sides = [TOP] + sides + [_rebuild(sides[0])]
+        program = Program(Rule(sides[i], sides[j]) for i, j in picks if (i, j) != (0, 0))
+        expected = "".join(
+            (f"{canonical_print(r.head)}.\n" if r.body == TOP
+             else f"{canonical_print(r.body)} -> {canonical_print(r.head)}.\n")
+            for r in program)
+        assert canonical_print(program) == expected
+
     def test_rule_with_true_body_prints_bare(self):
         assert canonical_print(Rule(TOP, bird)) == "bird."
         assert canonical_print(Rule(DNeg(p), q)) == "not p -> q."
+
+
+class _HashOf:
+    """Stands in for a subformula inside a tuple: a tuple's hash reads only
+    the hashes of its items."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _dataclass_hash(f):
+    """The hash a frozen dataclass derives from ``f``'s fields, computed
+    afresh at every node without reading any cached value."""
+    return hash(tuple(_HashOf(_dataclass_hash(v)) if isinstance(v, Formula) else v
+                      for v in (getattr(f, x.name) for x in dataclasses.fields(f))))
+
+
+def _nodes(f):
+    """Every node of ``f``, children before their parent."""
+    for x in dataclasses.fields(f):
+        child = getattr(f, x.name)
+        if isinstance(child, Formula):
+            yield from _nodes(child)
+    yield f
+
+
+def _rebuild(f):
+    """An equal tree that shares no node with ``f``."""
+    if isinstance(f, AtomRef):
+        return AtomRef(Atom(f.atom.name))
+    if isinstance(f, (Bot, Top)):
+        return type(f)()
+    return type(f)(*(_rebuild(getattr(f, x.name)) for x in dataclasses.fields(f)))
+
+
+class TestHashCache:
+    @given(formulas)
+    def test_every_node_hashes_as_its_dataclass_would(self, phi):
+        for node in _nodes(_rebuild(phi)):
+            assert hash(node) == _dataclass_hash(node)
+
+    @given(formulas)
+    def test_children_hashed_first_or_not_give_the_same_values(self, phi):
+        root_first, leaves_first = _rebuild(phi), _rebuild(phi)
+        hash(root_first)
+        for node in _nodes(leaves_first):
+            hash(node)
+        assert [hash(n) for n in _nodes(root_first)] == [hash(n) for n in _nodes(leaves_first)]
+
+    @given(formulas)
+    def test_separately_built_trees_are_equal_and_hash_equal(self, phi):
+        copy = _rebuild(phi)
+        assert copy is not phi
+        assert copy == phi and hash(copy) == hash(phi)
+        assert len({phi, copy}) == 1
+
+    def test_cached_value_is_not_a_field(self):
+        f = And(p, DNeg(q))
+        hash(f)
+        assert [x.name for x in dataclasses.fields(f)] == ["left", "right"]
+        assert f == And(p, DNeg(q)) and repr(f) == "p & not q"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.left = q
+
+    @given(nested_formulas, nested_formulas)
+    def test_constants_rules_and_programs_hash_as_before(self, body, head):
+        assert hash(BOT) == hash(Bot()) == hash(()) == hash(TOP) == hash(Top())
+        rule = Rule(body, head)
+        assert hash(rule) == hash((body, head))
+        program = Program([rule, Rule(head, body)])
+        assert hash(program) == hash(frozenset(program))

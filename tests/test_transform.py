@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 
 from conftest import formulas, nested_formulas, programs, x5_interps
 from genutil import random_program
-from reference_rewriters import ref_nnf, ref_push_dneg, ref_simplify_constants
+from reference_rewriters import ref_nnf, ref_push_dneg, ref_simplify_constants, ref_to_regular
 from eqlx import (
     BOT,
     TOP,
@@ -146,6 +146,24 @@ class TestTablesMatchHandWrittenRewriters:
     @settings(max_examples=200)
     def test_simplify_constants(self, f):
         assert simplify_constants(f) == ref_simplify_constants(f)
+
+    @given(programs, st.booleans(), st.booleans())
+    # traced twice by the reference: one note per item, counted before the
+    # duplicate ``not q`` is dropped
+    @example(parse_program("p -> not q | not q | r."), True, True)
+    @example(parse_program("not not a & not not a -> b | not not c | not not c."), False, True)
+    @example(parse_program("not not a & not not a -> b | not not c | not not c."), True, True)
+    @example(parse_program("p & not not q -> r | not not s | not r.\nnot not p -> not not p."),
+             True, True)
+    # a shifted item that the other side already holds is not added again
+    @example(parse_program("not not q & not r -> not q | not not r."), False, False)
+    @settings(max_examples=300)
+    def test_to_regular(self, prog, eliminate_head_dneg, traced):
+        nnf = to_nnf_program(prog)
+        got, want = ([], []) if traced else (None, None)
+        assert list(to_regular(nnf, eliminate_head_dneg, got)) == list(
+            ref_to_regular(nnf, eliminate_head_dneg, want))
+        assert got == want
 
     def test_folding_moved_out_of_the_reducts(self):
         assert "simplify_constants" not in reduct.__all__
