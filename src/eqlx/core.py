@@ -5,9 +5,11 @@ negation ``not`` (negation as failure) over the usual connectives.  Every type
 in this module is immutable, hashable and compared structurally, so values can
 be shared freely between threads.  A formula node computes its hash once, on
 the first ``hash()``, and caches it in its ``_hash`` slot; the value is the one
-the dataclass derives from the node's fields.  That write is the only one
-after construction, and it is idempotent: every thread that makes it stores
-the same value, so a node stays immutable in effect and safe to share.
+the dataclass derives from the node's fields.  Nestedness (``is_nested``) is
+cached the same way, in the ``_nested`` slot, so a side shared by many rules
+is checked once.  These writes are the only ones after construction, and they
+are idempotent: every thread that makes one stores the same value, so a node
+stays immutable in effect and safe to share.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class Formula:
     negation).  Default negation has no operator; use :class:`DNeg`.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_nested")
 
     def __hash__(self) -> int:
         # hash(fields), as the dataclass would compute it, computed once.  The
@@ -164,8 +166,9 @@ def _node(cls: type) -> type:
     return cls
 
 
-# writes the slot past the frozen dataclass's __setattr__
+# write the slots past the frozen dataclass's __setattr__
 _store_hash = Formula._hash.__set__
+_store_nested = Formula._nested.__set__
 
 
 @_node
@@ -502,14 +505,21 @@ def substitute(phi: Formula, p: Atom, alpha: Formula) -> Formula:
 
 
 def is_nested(phi: Formula) -> bool:
-    """True iff ``phi`` contains no implication node."""
-    if isinstance(phi, Impl):
-        return False
-    if isinstance(phi, (XNeg, DNeg)):
-        return is_nested(phi.child)
-    if isinstance(phi, (And, Or)):
-        return is_nested(phi.left) and is_nested(phi.right)
-    return True
+    """True iff ``phi`` contains no implication node; cached on the node."""
+    nested = getattr(phi, "_nested", None)
+    if nested is None:
+        if isinstance(phi, Impl):
+            nested = False
+        elif isinstance(phi, (XNeg, DNeg)):
+            nested = is_nested(phi.child)
+        elif isinstance(phi, (And, Or)):
+            nested = is_nested(phi.left) and is_nested(phi.right)
+        elif isinstance(phi, Formula):
+            nested = True
+        else:
+            return True
+        _store_nested(phi, nested)
+    return nested
 
 
 def is_explicit(x: Union[Formula, Rule, Program]) -> bool:

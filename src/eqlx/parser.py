@@ -6,14 +6,21 @@ abbreviations ``<->`` and ``<=>``.  Unicode spellings of the connectives are
 accepted on input but never emitted.  ``%`` starts a line comment.  Programs
 and theories are sequences of statements terminated by ``.``; a text with no
 ``.`` outside a comment can be read one formula per line (``parse_lines``).
+
+The parser does constant work per token: a token records its kind, text,
+line, column and length, and builds its ``SourceSpan`` only when the span is
+read, as an error does.  Within one parse every occurrence of an atom name is
+the same ``AtomRef`` object; formulas are immutable, so later passes may hash
+or compile that node once.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .core import (
     BOT,
@@ -79,11 +86,21 @@ _UNICODE_ALIASES = {
 _KEYWORDS = {"bot", "top", "not"}
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # one of: atom bot top not ~ & | -> <-> <=> ( ) { } , . EOF
-    text: str
-    span: SourceSpan
+    """One lexeme and the 1-based position where it starts."""
+
+    __slots__ = ("kind", "text", "line", "column", "length")
+
+    def __init__(self, kind: str, text: str, line: int, column: int, length: int):
+        self.kind = kind  # one of: atom bot top not ~ & | -> <-> <=> ( ) { } , . EOF
+        self.text = text
+        self.line = line
+        self.column = column
+        self.length = length
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.column, self.length)
 
 
 # One alternative per lexeme; whitespace and comments match no named group.
@@ -105,20 +122,21 @@ def _tokenize(text: str) -> List[_Token]:
             line, line_start = line + 1, m.end()
             continue
         lexeme = m.group()
-        span = SourceSpan(line, m.start() - line_start + 1, len(lexeme))
+        column = m.start() - line_start + 1
         if kind == "op":
-            tokens.append(_Token(lexeme, lexeme, span))
+            tokens.append(_Token(lexeme, lexeme, line, column, len(lexeme)))
+        elif kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            tokens.append(_Token(lexeme if lexeme in _KEYWORDS else "atom", lexeme,
+                                 line, column, len(lexeme)))
         elif kind == "bang":
-            tokens.append(_Token("not", lexeme, span))
+            tokens.append(_Token("not", lexeme, line, column, 1))
         elif kind == "alias":
             alias = _UNICODE_ALIASES[lexeme]
-            tokens.append(_Token(alias, alias, span))
-        elif kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
-            tokens.append(_Token(lexeme if lexeme in _KEYWORDS else "atom", lexeme, span))
+            tokens.append(_Token(alias, alias, line, column, 1))
         else:  # a stray character, or a word that starts with a digit such as 2 or ²
             raise ParseError(f"lexical error: unexpected character {lexeme[0]!r}",
-                             SourceSpan(span.line, span.column, 1))
-    tokens.append(_Token("EOF", "", SourceSpan(line, len(text) - line_start + 1, 1)))
+                             SourceSpan(line, column, 1))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1, 1))
     return tokens
 
 
@@ -128,10 +146,12 @@ _MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token]):
+    def __init__(self, tokens: List[_Token], refs: Optional[Dict[str, AtomRef]] = None):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        # one AtomRef per atom name, shared by every occurrence
+        self.refs: Dict[str, AtomRef] = {} if refs is None else refs
 
     # -- token plumbing ----------------------------------------------------
 
@@ -233,10 +253,13 @@ class _Parser:
             return TOP
         if tok.kind == "atom":
             self.take()
-            try:
-                return AtomRef(Atom(tok.text))
-            except ValueError as exc:
-                raise ParseError(str(exc), tok.span) from None
+            ref = self.refs.get(tok.text)
+            if ref is None:
+                try:
+                    ref = self.refs[tok.text] = AtomRef(Atom(tok.text))
+                except ValueError as exc:
+                    raise ParseError(str(exc), tok.span) from None
+            return ref
         if tok.kind == "(":
             self._enter(self.take())
             inner = self.formula(nested=nested)
@@ -278,8 +301,7 @@ class _Parser:
             raise self._unexpected(self.peek())
 
 
-def _whole_formula(tokens: List[_Token]) -> Formula:
-    p = _Parser(tokens)
+def _whole_formula(p: _Parser) -> Formula:
     f = p.formula()
     p.expect_eof()
     return f
@@ -287,7 +309,7 @@ def _whole_formula(tokens: List[_Token]) -> Formula:
 
 def parse_formula(text: str) -> Formula:
     """Parse one formula; the whole input must be consumed."""
-    return _whole_formula(_tokenize(text))
+    return _whole_formula(_Parser(_tokenize(text)))
 
 
 def parse_lines(text: str) -> Theory:
@@ -297,12 +319,13 @@ def parse_lines(text: str) -> Theory:
     the point just after its last token.
     """
     tokens = _tokenize(text)
+    refs: Dict[str, AtomRef] = {}
     formulas = []
-    for _, group in itertools.groupby(tokens[:-1], key=lambda tok: tok.span.line):
+    for _, group in itertools.groupby(tokens[:-1], key=operator.attrgetter("line")):
         line = list(group)
-        last = line[-1].span
-        end = SourceSpan(last.line, last.column + last.length, 1)
-        formulas.append(_whole_formula(line + [_Token("EOF", "", end)]))
+        last = line[-1]
+        line.append(_Token("EOF", "", last.line, last.column + last.length, 1))
+        formulas.append(_whole_formula(_Parser(line, refs)))
     return Theory(formulas)
 
 

@@ -230,6 +230,21 @@ class TestValidAndEquiv:
         assert (code, out) == (3, "")
         assert err == "error: formula nests too deeply to evaluate\n"
 
+    def test_valid_and_solve_handle_450_member_chains(self, tmp_path, capsys):
+        # evaluation and solving recurse once per level, as the rewriters do
+        # (see test_rewriters_handle_450_member_chains): about 490 members fail
+        members = 450
+        conj = " & ".join(["p"] * members)
+        disj = " | ".join(["p"] * (members - 1) + ["~q"])
+        code, out, _ = run(capsys, "valid", f"{conj} -> p")
+        assert (code, out) == (0, "valid\n")
+        code, out, _ = run(capsys, "valid", disj)
+        assert (code, out) == (1, "not valid\nwitness: p=0, q=0 : 0\n")
+        code, out, _ = run(capsys, "solve", write(tmp_path, "and.x5", conj + ".\n"))
+        assert (code, out) == (0, "{p}\n")
+        code, out, _ = run(capsys, "solve", write(tmp_path, "or.txt", disj + "\n"))
+        assert (code, out) == (0, "{~q}\n{p}\n")
+
     def test_witness_rejected_by_the_reference_exits_4(self, capsys, monkeypatch):
         import eqlx.equivalence
         from eqlx import FiveValue

@@ -300,3 +300,46 @@ class TestHashCache:
         assert hash(rule) == hash((body, head))
         program = Program([rule, Rule(head, body)])
         assert hash(program) == hash(frozenset(program))
+
+
+def _has_implication(f):
+    """Independent of ``is_nested`` and of any cached value."""
+    return isinstance(f, Impl) or any(
+        _has_implication(getattr(f, x.name)) for x in dataclasses.fields(f)
+        if isinstance(getattr(f, x.name), Formula))
+
+
+class TestNestedCache:
+    @given(formulas)
+    def test_every_node_gets_the_uncached_answer(self, phi):
+        for node in _nodes(_rebuild(phi)):
+            assert is_nested(node) is not _has_implication(node)
+
+    @given(formulas)
+    def test_root_first_or_leaves_first_give_the_same_answers(self, phi):
+        root_first, leaves_first = _rebuild(phi), _rebuild(phi)
+        is_nested(root_first)
+        for node in _nodes(leaves_first):
+            is_nested(node)
+        assert [is_nested(n) for n in _nodes(root_first)] == \
+            [is_nested(n) for n in _nodes(leaves_first)]
+
+    def test_cached_value_is_not_a_field(self):
+        f, g = And(p, DNeg(q)), Impl(p, q)
+        assert is_nested(f) and not is_nested(g)
+        assert [x.name for x in dataclasses.fields(f)] == ["left", "right"]
+        assert f == And(p, DNeg(q)) and hash(f) == hash((p, DNeg(q)))
+        assert g == Impl(p, q) and hash(g) == hash((p, q))
+        assert repr(f) == "p & not q" and repr(g) == "p -> q"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.left = q
+
+    def test_a_side_cached_as_not_nested_is_refused_every_time(self):
+        side = Or(p, XNeg(Impl(q, r)))
+        assert not is_nested(side)
+        for _ in range(3):
+            with pytest.raises(NotNested, match="rule head must be a nested expression"):
+                Rule(p, side)
+            with pytest.raises(NotNested, match="rule body must be a nested expression"):
+                Rule(side, p)
+        assert Rule(p, Or(p, q)).head == Or(p, q)

@@ -6,6 +6,7 @@ from eqlx import (
     BOT,
     TOP,
     And,
+    AtomRef,
     DNeg,
     Impl,
     InconsistentLiterals,
@@ -15,6 +16,7 @@ from eqlx import (
     Program,
     Rule,
     SourceSpan,
+    Theory,
     XNeg,
     atom,
     canonical_print,
@@ -25,7 +27,7 @@ from eqlx import (
     parse_theory,
     strong_iff,
 )
-from eqlx.parser import _tokenize
+from eqlx.parser import _tokenize, parse_lines
 
 p, q, r = atom("p"), atom("q"), atom("r")
 bird, flies = atom("bird"), atom("flies")
@@ -173,6 +175,73 @@ class TestLexer:
         with pytest.raises(ParseError, match=f"unexpected character '{char}'") as err:
             _tokenize(text)
         assert err.value.span == SourceSpan(1, column, 1)
+
+
+def _atom_refs(f):
+    """Every ``AtomRef`` node of ``f``, repeats included."""
+    if isinstance(f, AtomRef):
+        yield f
+    for name in ("child", "left", "right"):
+        child = getattr(f, name, None)
+        if child is not None:
+            yield from _atom_refs(child)
+
+
+class TestSharedAtoms:
+    LINES = ["p & (q | not p) -> ~p | q", "q", "not (p & r) -> r"]
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_formula, " & ".join(f"({line})" for line in LINES)),
+        (parse_theory, "".join(f"{line}.\n" for line in LINES)),
+        (parse_program, "".join(f"{line}.\n" for line in LINES)),
+        (parse_lines, "".join(f"{line}\n" for line in LINES)),
+    ])
+    def test_one_node_per_atom_name_in_one_call(self, parse, text):
+        parsed = parse(text)
+        if isinstance(parsed, Program):
+            parsed = parsed.as_theory()
+        refs = [ref for f in (parsed if isinstance(parsed, Theory) else [parsed])
+                for ref in _atom_refs(f)]
+        assert len(refs) == 9
+        by_name = {}
+        for ref in refs:
+            assert by_name.setdefault(ref.atom, ref) is ref
+        assert len(by_name) == 3
+
+    @given(formulas)
+    def test_separate_calls_build_equal_trees_with_equal_hashes(self, phi):
+        text = canonical_print(phi)
+        first, second = parse_formula(text), parse_formula(text)
+        assert first == second == phi and hash(first) == hash(second) == hash(phi)
+        assert not {id(x) for x in _atom_refs(first)} & {id(x) for x in _atom_refs(second)}
+
+    @pytest.mark.parametrize("parse, text, span", [
+        (parse_formula, "p & Q & Q", SourceSpan(1, 5, 1)),
+        (parse_theory, "p.\nq | Q.\nQ.", SourceSpan(2, 5, 1)),
+        (parse_program, "p.\nq | Q.\nQ.", SourceSpan(2, 5, 1)),
+        (parse_lines, "p\nq | Q\nQ", SourceSpan(2, 5, 1)),
+    ])
+    def test_an_invalid_name_fails_at_its_first_occurrence(self, parse, text, span):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line {span.line}, column {span.column}: " \
+                                 "not a valid atom name: 'Q'"
+        assert err.value.span == span
+
+    @pytest.mark.parametrize("text, span", [
+        ("p\n\n   q & \n", SourceSpan(3, 7, 1)),
+        ("p\n\nq & (r |", SourceSpan(3, 9, 1)),
+    ])
+    def test_line_mode_errors_end_after_the_last_token_of_their_line(self, text, span):
+        with pytest.raises(ParseError, match="unexpected token 'end of input'") as err:
+            parse_lines(text)
+        assert err.value.span == span
+
+    def test_tokens_build_their_span_on_demand(self):
+        eof = _tokenize("p ->\n  q")[-1]
+        assert (eof.kind, eof.text) == ("EOF", "")
+        assert eof.span == SourceSpan(2, 4, 1)
+        assert not hasattr(eof, "__dict__")
 
 
 class TestNestingBound:
