@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import IntEnum
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Union
 
@@ -150,10 +150,30 @@ class Formula:
         return canonical_print(self)
 
 
+def _frozen(cls: type) -> type:
+    """A frozen, slotted dataclass on which every assignment and deletion
+    raises ``FrozenInstanceError``.  The ``__setattr__`` and ``__delattr__``
+    that ``dataclass`` generates call ``super()`` on the class that
+    ``slots=True`` replaced, so they raise ``TypeError`` for a name that is
+    not a field."""
+    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
+    cls.__setattr__ = _refuse_setattr
+    cls.__delattr__ = _refuse_delattr
+    return cls
+
+
+def _refuse_setattr(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def _node(cls: type) -> type:
     """A formula node: a frozen, slotted dataclass whose hash
     :meth:`Formula.__hash__` caches."""
-    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
+    cls = _frozen(cls)
     names = cls.__slots__  # the fields
     if len(names) > 1:
         cls._field_tuple = operator.attrgetter(*names)
@@ -242,7 +262,7 @@ def strong_iff(a: Formula, b: Formula) -> Formula:
     return And(iff(a, b), iff(XNeg(a), XNeg(b)))
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Rule:
     """Implication ``body -> head`` between nested expressions."""
 
@@ -269,15 +289,12 @@ class _Collection:
     _member: type
 
     def __init__(self, items: Iterable = ()):
-        seen = set()
-        kept = []
-        for x in items:
-            if not isinstance(x, self._member):
-                raise TypeError(f"expected {self._member.__name__}, got {type(x).__name__}")
-            if x not in seen:
-                seen.add(x)
-                kept.append(x)
-        self._items: tuple = tuple(kept)
+        items = tuple(items)
+        member = self._member
+        for x in items:  # before any hashing, so a non-member is a TypeError
+            if not isinstance(x, member):
+                raise TypeError(f"expected {member.__name__}, got {type(x).__name__}")
+        self._items: tuple = tuple(dict.fromkeys(items))  # one hash per item
 
     def __iter__(self) -> Iterator:
         return iter(self._items)
@@ -374,7 +391,7 @@ class X5Interpretation:
     Equivalently a five-valued assignment of atoms; see :meth:`value_of`.
     """
 
-    __slots__ = ("here", "there")
+    __slots__ = ("here", "there", "_values")
 
     def __init__(self, here: Interpretation, there: Interpretation):
         if not isinstance(here, Interpretation):
@@ -385,6 +402,10 @@ class X5Interpretation:
             raise ValueError(f"here world {here} is not a subset of there world {there}")
         self.here = here
         self.there = there
+        # the atoms' values, read by value_of; absent atoms are 0
+        values = {l.atom: -1 if l.negated else 1 for l in there.literals}
+        values.update((l.atom, -2 if l.negated else 2) for l in here.literals)
+        self._values: Dict[Atom, int] = values
 
     def total(self) -> bool:
         return self.here == self.there
@@ -394,15 +415,7 @@ class X5Interpretation:
 
     def value_of(self, a: Atom) -> int:
         """Five-valued reading of one atom: 2/-2 proved, 1/-1 by default, 0 unknown."""
-        if self.here.has(a):
-            return 2
-        if self.here.has(a, negated=True):
-            return -2
-        if self.there.has(a):
-            return 1
-        if self.there.has(a, negated=True):
-            return -1
-        return 0
+        return self._values.get(a, 0)
 
     def values(self, signature: Iterable[Atom]) -> dict:
         return {a: self.value_of(a) for a in sorted(signature)}

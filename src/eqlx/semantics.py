@@ -18,11 +18,14 @@ exhibit why that reading is unsuitable.
 from __future__ import annotations
 
 from enum import Enum
-from typing import FrozenSet, Union
+from itertools import repeat
+from operator import neg
+from typing import Callable, FrozenSet, Sequence, Union
 
 from .core import (
     BOT,
     And,
+    Atom,
     AtomRef,
     Bot,
     DNeg,
@@ -176,17 +179,18 @@ def _fals(h: _LitSet, t: _LitSet, f: Formula) -> bool:
 
 
 def value5(m: X5Interpretation, phi: Formula, mode: EvalMode = EvalMode.X5) -> FiveValue:
-    """Fold the five-valued tables over ``phi``.
+    """Fold the five-valued tables over ``phi`` at one interpretation.
 
     Atoms read 2/-2 when proved here, 1/-1 when only the there world commits,
     0 otherwise.  Conjunction is min, disjunction max, explicit negation sign
     flip.  The single table cell distinguishing N5 from X5 lives in
     ``_impl5``; default negation is evaluated as ``child -> bot`` so it picks
-    up the mode automatically.
+    up the mode automatically.  This is the one-point case of ``_val``, which
+    folds the same cells over a column of points at once.
     """
     if mode not in (EvalMode.X5, EvalMode.N5):
         raise ValueError(f"value5 is defined for X5 and N5 modes, not {mode}")
-    return FiveValue(_val(m, phi, mode))
+    return FiveValue(_val(lambda a: (m.value_of(a),), 1, phi, mode)[0])
 
 
 def _impl5(a: int, b: int, mode: EvalMode) -> int:
@@ -197,23 +201,29 @@ def _impl5(a: int, b: int, mode: EvalMode) -> int:
     return b
 
 
-def _val(m: X5Interpretation, f: Formula, mode: EvalMode) -> int:
+def _val(column: Callable[[Atom], Sequence[int]], width: int, f: Formula,
+         mode: EvalMode) -> Sequence[int]:
+    """The values of ``f`` at ``width`` points, where ``column(a)`` gives the
+    values of atom ``a`` at those points, in the same order."""
     if isinstance(f, Bot):
-        return -2
+        return (-2,) * width
     if isinstance(f, Top):
-        return 2
+        return (2,) * width
     if isinstance(f, AtomRef):
-        return m.value_of(f.atom)
+        return column(f.atom)
     if isinstance(f, And):
-        return min(_val(m, f.left, mode), _val(m, f.right, mode))
+        return list(map(min, _val(column, width, f.left, mode),
+                        _val(column, width, f.right, mode)))
     if isinstance(f, Or):
-        return max(_val(m, f.left, mode), _val(m, f.right, mode))
+        return list(map(max, _val(column, width, f.left, mode),
+                        _val(column, width, f.right, mode)))
     if isinstance(f, XNeg):
-        return -_val(m, f.child, mode)
+        return list(map(neg, _val(column, width, f.child, mode)))
     if isinstance(f, DNeg):
-        return _impl5(_val(m, f.child, mode), -2, mode)
+        return list(map(_impl5, _val(column, width, f.child, mode), repeat(-2), repeat(mode)))
     if isinstance(f, Impl):
-        return _impl5(_val(m, f.left, mode), _val(m, f.right, mode), mode)
+        return list(map(_impl5, _val(column, width, f.left, mode),
+                        _val(column, width, f.right, mode), repeat(mode)))
     raise TypeError(f"cannot evaluate {type(f).__name__}")
 
 

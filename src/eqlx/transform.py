@@ -35,6 +35,7 @@ from .core import (
     AtomRef,
     Bot,
     DNeg,
+    FiveValue,
     Formula,
     Impl,
     Or,
@@ -49,7 +50,8 @@ from .core import (
     atoms,
     iff,
 )
-from .semantics import EvalMode, value5
+from .semantics import EvalMode, _val
+from .semantics import value5  # noqa: F401  bench/tracing.py wraps this module binding
 from .solver import enumerate_x5
 
 __all__ = [
@@ -174,23 +176,36 @@ FOLD_RULES: Tuple[RewriteRule, ...] = (
 
 
 def verify_rewrite_rules() -> int:
-    """Check every table entry semantically; returns the number of checks run."""
+    """Check every table entry semantically; returns the number of checks run.
+
+    An entry's signature is the atoms of its two sides.  Each signature's
+    points (in ``enumerate_x5`` order) and each atom's column of values at
+    them are built once; the five-valued fold of ``value5`` then evaluates a
+    side at all the points in one call.  A ``subst`` entry must give its two
+    sides equal columns, a ``weak`` one must designate ``lhs <-> rhs``
+    everywhere; each (entry, mode) pair counts as one check.  A failure names
+    the entry, the mode and the first failing point.
+    """
     checked = 0
     failures = []
-    points: Dict[tuple, list] = {}
+    columns: Dict[tuple, tuple] = {}
     for rule in dict.fromkeys(NNF_RULES + REGULAR_RULES + FOLD_RULES):
         sig = tuple(sorted(atoms(rule.lhs) | atoms(rule.rhs)))
-        if sig not in points:
-            points[sig] = list(enumerate_x5(sig))
+        if sig not in columns:
+            points = list(enumerate_x5(sig))
+            of_atom = {a: tuple(m.value_of(a) for m in points) for a in sig}
+            columns[sig] = points, of_atom.__getitem__
+        points, column = columns[sig]
+        width = len(points)
         for mode in rule.modes:
-            for m in points[sig]:
-                if rule.strength == "subst":
-                    ok = value5(m, rule.lhs, mode) == value5(m, rule.rhs, mode)
-                else:
-                    ok = value5(m, iff(rule.lhs, rule.rhs), mode).designated
-                if not ok:
-                    failures.append(f"{rule.name} fails in {mode.value} at {m}")
-                    break
+            if rule.strength == "subst":
+                ok = [x == y for x, y in zip(_val(column, width, rule.lhs, mode),
+                                             _val(column, width, rule.rhs, mode))]
+            else:
+                ok = [v == FiveValue.PROVEN_TRUE
+                      for v in _val(column, width, iff(rule.lhs, rule.rhs), mode)]
+            if not all(ok):
+                failures.append(f"{rule.name} fails in {mode.value} at {points[ok.index(False)]}")
             checked += 1
     if failures:
         raise AssertionError("rewrite table is unsound: " + "; ".join(failures))
@@ -423,8 +438,9 @@ def to_regular(p: Program, eliminate_head_dneg: bool = False,
 def _push_dneg(f: Formula, rules: _Table, trace: Optional[list], where: str) -> Formula:
     """Distribute ``not`` over the lattice connectives and cap chains at two."""
     if isinstance(f, (And, Or)):
-        return type(f)(_push_dneg(f.left, rules, trace, where),
-                       _push_dneg(f.right, rules, trace, where))
+        left = _push_dneg(f.left, rules, trace, where)
+        right = _push_dneg(f.right, rules, trace, where)
+        return f if left is f.left and right is f.right else type(f)(left, right)
     if isinstance(f, DNeg):
         return _dneg_of(_push_dneg(f.child, rules, trace, where), rules, trace, where)
     return f

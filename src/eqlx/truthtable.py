@@ -31,6 +31,7 @@ the ``enumerate_interpretations`` order.  The guard that bounds every scan,
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -84,6 +85,9 @@ Levels = Tuple[int, int, int, int]
 _NOWHERE: Levels = (0, 0, 0, 0)
 
 
+# Cached: the keys are (5^j, 5^n) for 0 <= j < n <= _CHUNK_ATOMS, so at most
+# 28 of them, whose masks take about 0.3 MB together.
+@functools.cache
 def _atom_levels(stride: int, size: int) -> Levels:
     """Masks of an atom whose state index is digit ``(point // stride) % 5``."""
     block = (1 << stride) - 1

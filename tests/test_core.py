@@ -29,6 +29,7 @@ from eqlx import (
     atom,
     atoms,
     canonical_print,
+    enumerate_x5,
     is_explicit,
     is_nested,
     is_regular,
@@ -145,6 +146,14 @@ class TestProgramAndTheory:
         r1, r2 = Rule(p, q), Rule(q, r)
         prog = Program([r1, r2, r1])
         assert list(prog) == [r1, r2]
+        many = [Rule(atom(f"a{i}"), q) for i in range(20)]
+        assert list(Program(many + many[::-1] + [Rule(atom("a3"), q)])) == many
+
+    def test_a_non_member_is_refused_before_it_is_hashed(self):
+        with pytest.raises(TypeError, match="expected Rule, got list"):
+            Program([Rule(p, q), []])
+        with pytest.raises(TypeError, match="expected Formula, got dict"):
+            Theory([p, {}])
 
     def test_program_set_equality(self):
         assert Program([Rule(p, q), Rule(q, r)]) == Program([Rule(q, r), Rule(p, q)])
@@ -180,6 +189,21 @@ class TestInterpretations:
     def test_value_roundtrip(self, m):
         values = m.values(ATOMS)
         assert X5Interpretation.from_values(values) == m
+
+    def test_value_of_agrees_with_values_and_from_values(self):
+        points = list(enumerate_x5(ATOMS))
+        assert len(points) == 125
+        for m in points:
+            values = m.values(ATOMS)
+            assert list(values) == sorted(ATOMS)
+            for a in ATOMS:
+                v = m.value_of(a)
+                assert values[a] == v
+                assert m.here.has(a, v < 0) == (abs(v) == 2)
+                assert m.there.has(a, v < 0) == (v != 0)
+            back = X5Interpretation.from_values(values)
+            assert back == m and back.values(ATOMS) == values
+            assert m.value_of(Atom("s")) == 0
 
     @given(x5_interps)
     def test_total_iff_no_default_values(self, m):
@@ -300,6 +324,27 @@ class TestHashCache:
         assert hash(rule) == hash((body, head))
         program = Program([rule, Rule(head, body)])
         assert hash(program) == hash(frozenset(program))
+
+
+class TestFrozen:
+    # Formula nodes and rules are slotted dataclasses; a name that is not a
+    # field must be refused like a field is, not with a TypeError
+    @pytest.mark.parametrize("make", [lambda: And(p, q), lambda: DNeg(p), Bot, lambda: p,
+                                      lambda: Rule(p, q)],
+                             ids=["And", "DNeg", "Bot", "AtomRef", "Rule"])
+    @pytest.mark.parametrize("name", ["left", "child", "body", "extra", "_hash", "_nested"])
+    def test_every_assignment_and_deletion_is_refused(self, make, name):
+        obj = make()
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"assign to field '{name}'"):
+            setattr(obj, name, False)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"delete field '{name}'"):
+            delattr(obj, name)
+        assert obj == make()
+
+    def test_the_caches_are_still_written(self):
+        f = And(p, DNeg(q))
+        assert is_nested(f) and f._nested is True
+        assert hash(f) == hash((p, DNeg(q))) == f._hash
 
 
 def _has_implication(f):

@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+import hypothesis.strategies as st
+from hypothesis import example, given
 
 import reference_tables as ref
 from conftest import (
@@ -16,6 +17,8 @@ from eqlx import (
     TOP,
     And,
     Atom,
+    AtomRef,
+    Bot,
     DNeg,
     EvalMode,
     ExplicitLiteral,
@@ -26,9 +29,11 @@ from eqlx import (
     Program,
     Rule,
     Theory,
+    Top,
     X5Interpretation,
     XNeg,
     atom,
+    atoms,
     classical_sat,
     enumerate_x5,
     fals,
@@ -43,6 +48,7 @@ from eqlx import (
     x5_fals,
     x5_sat,
 )
+from eqlx import semantics
 
 p, q = atom("p"), atom("q")
 P, Q = Atom("p"), Atom("q")
@@ -157,6 +163,68 @@ class TestFiveValuedCorrespondence:
     def test_classical_mode_rejected(self):
         with pytest.raises(ValueError):
             value5(x5_from({P: 0}), p, EvalMode.CLASSICAL)
+
+
+def _old_value_of(m, a):
+    """The atom reading that the value dictionary replaced."""
+    for v, world, negated in ((2, m.here, False), (-2, m.here, True),
+                              (1, m.there, False), (-1, m.there, True)):
+        if ExplicitLiteral(a, negated) in world.literals:
+            return v
+    return 0
+
+
+def _old_impl5(a, b, mode):
+    if a <= max(b, 0):
+        return 2
+    if mode is EvalMode.N5 and a == 1 and b == -2:
+        return -1
+    return b
+
+
+def _old_val(m, f, mode):
+    """The point-by-point fold that the column fold replaced."""
+    if isinstance(f, Bot):
+        return -2
+    if isinstance(f, Top):
+        return 2
+    if isinstance(f, AtomRef):
+        return _old_value_of(m, f.atom)
+    if isinstance(f, And):
+        return min(_old_val(m, f.left, mode), _old_val(m, f.right, mode))
+    if isinstance(f, Or):
+        return max(_old_val(m, f.left, mode), _old_val(m, f.right, mode))
+    if isinstance(f, XNeg):
+        return -_old_val(m, f.child, mode)
+    if isinstance(f, DNeg):
+        return _old_impl5(_old_val(m, f.child, mode), -2, mode)
+    return _old_impl5(_old_val(m, f.left, mode), _old_val(m, f.right, mode), mode)
+
+
+five_modes = st.sampled_from([EvalMode.X5, EvalMode.N5])
+# a signature: the formula's atoms and any of p, q, r, s besides
+extra_atoms = st.sets(st.sampled_from(ATOMS + (Atom("s"),)), max_size=2)
+
+
+class TestColumnFold:
+    @given(formulas, five_modes, extra_atoms)
+    @example(TOP, EvalMode.X5, set())
+    @example(BOT, EvalMode.N5, {P, Q})
+    @example(Impl(p, q), EvalMode.N5, set())
+    def test_columns_match_the_point_wise_fold(self, f, mode, extra):
+        points = list(enumerate_x5(atoms(f) | extra))
+        columns = {a: tuple(_old_value_of(m, a) for m in points) for a in atoms(f) | extra}
+        got = semantics._val(columns.__getitem__, len(points), f, mode)
+        assert list(got) == [_old_val(m, f, mode) for m in points]
+
+    @given(formulas, five_modes, x5_interps)
+    def test_value5_is_the_one_point_case(self, f, mode, m):
+        assert value5(m, f, mode) == _old_val(m, f, mode)
+
+    @given(formulas, five_modes)
+    def test_atoms_outside_the_interpretation_read_zero(self, f, mode):
+        m = x5_from({})
+        assert value5(m, f, mode) == _old_val(m, f, mode)
 
 
 class TestDerivedOperatorAgreement:

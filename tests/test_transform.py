@@ -119,6 +119,33 @@ class TestTablesAreTheRewriters:
         monkeypatch.setattr(transform, "_ensure_verified", lambda: None)
         assert rewrite() == parse(after)
 
+    # the first failing point in enumerate_x5 order, once per failing mode
+    @pytest.mark.parametrize("table, name, rhs, modes, failures", [
+        # weak: ``~(a -> b)`` is not weakly ``a & ~b`` in X5, first where a is
+        # only true by default and b is proved false
+        ("NNF_RULES", "xneg_impl", And(a, XNeg(b)), None,
+         "xneg_impl fails in x5 at <{~b}, {a, ~b}>"),
+        ("NNF_RULES", "xneg_or", And(a, XNeg(b)), None,
+         "xneg_or fails in x5 at <{}, {a}>; xneg_or fails in n5 at <{}, {a}>"),
+        # holds in X5; in N5 the values of ``not not not a`` and ``not a``
+        # first differ where a is true by default
+        ("REGULAR_RULES", "triple_dneg", None, (EvalMode.X5, EvalMode.N5),
+         "triple_dneg fails in n5 at <{}, {a}>"),
+    ])
+    def test_failure_names_the_entry_mode_and_first_failing_point(
+            self, monkeypatch, table, name, rhs, modes, failures):
+        entries = tuple(
+            RewriteRule(r.name, r.lhs, rhs or r.rhs, r.strength, modes or r.modes)
+            if r.name == name else r for r in getattr(transform, table))
+        monkeypatch.setattr(transform, table, entries)
+        with pytest.raises(AssertionError) as err:
+            verify_rewrite_rules()
+        assert str(err.value) == "rewrite table is unsound: " + failures
+
+    def test_every_entry_is_checked_once_per_mode(self):
+        entries = dict.fromkeys(NNF_RULES + REGULAR_RULES + FOLD_RULES)
+        assert verify_rewrite_rules() == sum(len(r.modes) for r in entries) == 53
+
 
 class TestTablesMatchHandWrittenRewriters:
     @given(formulas, modes, st.booleans())
