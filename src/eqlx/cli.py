@@ -55,10 +55,10 @@ from .parser import (
 from .reduct import ferraris_minus, ferraris_plus, reduct_program
 from .semantics import EvalMode, classical_sat, value5, x5_fals, x5_sat
 from .solver import (
+    DEFAULT_MAX_ATOMS,
     InternalInconsistency,
     SignatureTooLarge,
     SolveOptions,
-    _effective_signature,
     answer_sets,
     equilibrium_models,
     equilibrium_models_ferraris,
@@ -134,16 +134,16 @@ def _as_program(theory: Theory) -> Optional[Program]:
     return Program(rules)
 
 
-def _witness_payload(w: X5Interpretation, signature) -> dict:
+def _witness_payload(w: X5Interpretation, signature: List[Atom]) -> dict:
     return {
-        "values": {str(a): w.value_of(a) for a in sorted(signature)},
+        "values": {str(a): w.value_of(a) for a in signature},
         "here": [str(l) for l in w.here],
         "there": [str(l) for l in w.there],
     }
 
 
-def _witness_text(w: X5Interpretation, signature) -> str:
-    return ", ".join(f"{a}={w.value_of(a)}" for a in sorted(signature))
+def _witness_text(w: X5Interpretation, signature: List[Atom]) -> str:
+    return ", ".join(f"{a}={w.value_of(a)}" for a in signature)
 
 
 def _emit(args, result, witness=None, engine_agreement=None,
@@ -269,7 +269,7 @@ def _report(args, verdict, opts: SolveOptions, label: str, result: dict,
         _emit(args, result, text_lines=[label])
         return 0
     w = verdict.witness
-    sig = _effective_signature(opts, *formulas.values())
+    sig = opts.space(*formulas.values()).atoms
     result.update((key, int(value5(w, f))) for key, f in formulas.items())
     values = " vs ".join(str(result[key]) for key in formulas)
     _emit(args, result, witness=_witness_payload(w, sig),
@@ -281,8 +281,10 @@ def _cmd_valid(args) -> int:
     f = parse_formula(args.expr)
     opts = _options(args)
     verdict = is_valid(f, opts)
-    return _report(args, verdict, opts, "valid",
-                   {"valid": verdict.equivalent, "formula": canonical_print(f)}, value=f)
+    result = {"valid": verdict.equivalent}
+    if args.json:  # printing unfolds shared subformulas, so only when shown
+        result["formula"] = canonical_print(f)
+    return _report(args, verdict, opts, "valid", result, value=f)
 
 
 def _cmd_equiv(args) -> int:
@@ -302,7 +304,7 @@ def _cmd_context(args) -> int:
     right = parse_formula(args.right)
     opts = _options(args)
     verdict = discriminating_context(left, right, opts)
-    sig = _effective_signature(opts, left, right)
+    sig = opts.space(left, right).atoms
     delta_rules = [canonical_print(Rule(f.left, f.right)) for f in verdict.context]
     with_left, with_right = verdict.context_models
 
@@ -447,7 +449,8 @@ _COMMANDS = (
 
 _GLOBAL_FLAGS = [
     _arg("--signature", default=None, help="comma-separated atoms added to the signature"),
-    _arg("--max-atoms", type=int, default=12, help="refuse enumeration above this many atoms"),
+    _arg("--max-atoms", type=int, default=DEFAULT_MAX_ATOMS,
+         help="refuse enumeration above this many atoms"),
     _arg("--json", action="store_true", help="machine-readable output"),
 ]
 

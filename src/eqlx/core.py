@@ -18,7 +18,7 @@ import operator
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from enum import IntEnum
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
 __all__ = [
     "Atom",
@@ -346,9 +346,6 @@ class Interpretation:
             raise InconsistentLiterals(f"inconsistent interpretation: {a} and ~{a}")
         self.literals = lits
 
-    def atoms(self) -> set:
-        return {l.atom for l in self.literals}
-
     def has(self, a: Atom, negated: bool = False) -> bool:
         return ExplicitLiteral(a, negated) in self.literals
 
@@ -471,29 +468,35 @@ class FiveValue(IntEnum):
 def atoms(x: Union[Formula, Rule, Program, Theory, Interpretation]) -> set:
     """Set of atoms occurring anywhere in ``x``, including under negations."""
     found: set = set()
-    _collect_atoms(x, found)
+    _collect_atoms(x, found, set())
     return found
 
 
-def _collect_atoms(x, found: set) -> None:
+def _collect_atoms(x, found: set, seen: set) -> None:
+    # ``seen`` holds the ids of the nodes already visited, so a node shared
+    # inside ``x``, as in ``iff(alpha, beta)``, is visited once; ``x``
+    # outlives the call, so those ids stay unique
+    if id(x) in seen:
+        return
+    seen.add(id(x))
     if isinstance(x, AtomRef):
         found.add(x.atom)
     elif isinstance(x, (XNeg, DNeg)):
-        _collect_atoms(x.child, found)
+        _collect_atoms(x.child, found, seen)
     elif isinstance(x, (And, Or, Impl)):
-        _collect_atoms(x.left, found)
-        _collect_atoms(x.right, found)
+        _collect_atoms(x.left, found, seen)
+        _collect_atoms(x.right, found, seen)
     elif isinstance(x, (Bot, Top)):
         pass
     elif isinstance(x, Rule):
-        _collect_atoms(x.body, found)
-        _collect_atoms(x.head, found)
+        _collect_atoms(x.body, found, seen)
+        _collect_atoms(x.head, found, seen)
     elif isinstance(x, Program):
         for r in x:
-            _collect_atoms(r, found)
+            _collect_atoms(r, found, seen)
     elif isinstance(x, Theory):
         for f in x:
-            _collect_atoms(f, found)
+            _collect_atoms(f, found, seen)
     elif isinstance(x, Interpretation):
         found.update(l.atom for l in x.literals)
     else:
@@ -568,20 +571,17 @@ def is_default_literal(f: Formula) -> bool:
     return as_explicit_literal(f) is not None
 
 
-def _conjuncts(f: Formula) -> Iterator[Formula]:
-    if isinstance(f, And):
-        yield from _conjuncts(f.left)
-        yield from _conjuncts(f.right)
-    else:
-        yield f
-
-
-def _disjuncts(f: Formula) -> Iterator[Formula]:
-    if isinstance(f, Or):
-        yield from _disjuncts(f.left)
-        yield from _disjuncts(f.right)
-    else:
-        yield f
+def _operands(f: Formula, join: type) -> List[Formula]:
+    """The members of the ``join`` chain ``f`` (``And`` or ``Or``), left to right."""
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, join):
+            stack += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
 
 
 def is_regular(r: Rule) -> bool:
@@ -590,8 +590,8 @@ def is_regular(r: Rule) -> bool:
     An empty body is written ``top`` and an empty head ``bot``, but a rule may
     not have both.
     """
-    body_ok = isinstance(r.body, Top) or all(is_default_literal(c) for c in _conjuncts(r.body))
-    head_ok = isinstance(r.head, Bot) or all(is_default_literal(d) for d in _disjuncts(r.head))
+    body_ok = isinstance(r.body, Top) or all(map(is_default_literal, _operands(r.body, And)))
+    head_ok = isinstance(r.head, Bot) or all(map(is_default_literal, _operands(r.head, Or)))
     if isinstance(r.body, Top) and isinstance(r.head, Bot):
         return False
     return body_ok and head_ok

@@ -33,8 +33,6 @@ from .semantics import value5, x5_sat
 from .solver import (
     InternalInconsistency,
     SolveOptions,
-    _all,
-    _effective_signature,
     enumerate_x5,  # noqa: F401  bench/tracing.py wraps this module binding
     equilibrium_models,
 )
@@ -90,9 +88,7 @@ def _decide(opts: Optional[SolveOptions], hits: Callable[[Chunk], int],
     """Negative with the first point, in ``enumerate_x5`` order over the
     inputs' signature, in the truth-table mask ``hits``; positive if there is
     none.  The reference route ``refutes`` re-checks the witness first."""
-    opts = opts or SolveOptions()
-    sig = _effective_signature(opts, *inputs)
-    witness = first_point(sig, opts.max_atoms, hits)
+    witness = first_point((opts or SolveOptions()).space(*inputs), hits)
     if witness is None:
         return EquivVerdict(True)
     _confirm(refutes(witness), witness)
@@ -148,11 +144,10 @@ def discriminating_context(alpha: Formula, beta: Formula,
     the two extended theories differ; it carries those models, left first.
     """
     opts = opts or SolveOptions()
-    sig = _effective_signature(opts, alpha, beta)
+    space = opts.space(alpha, beta)
 
     def first_model_of_only(one: Formula, two: Formula) -> Optional[X5Interpretation]:
-        return first_point(sig, opts.max_atoms,
-                           lambda t: t.designated(one) & ~t.designated(two))
+        return first_point(space, lambda t: t.designated(one) & ~t.designated(two))
 
     satisfied, other, side = alpha, beta, "left"
     witness = first_model_of_only(alpha, beta)
@@ -176,7 +171,7 @@ def discriminating_context(alpha: Formula, beta: Formula,
                               for l1 in gap for l2 in gap)
     delta = Theory(delta_formulas)
 
-    check_opts = SolveOptions(signature=sig, max_atoms=opts.max_atoms)
+    check_opts = SolveOptions(signature=space.atoms, max_atoms=opts.max_atoms)
     with_sat = tuple(equilibrium_models(Theory(list(delta) + [satisfied]), check_opts))
     with_other = tuple(equilibrium_models(Theory(list(delta) + [other]), check_opts))
     if with_sat == with_other:
@@ -208,6 +203,6 @@ def theory_replace_check(gamma: Theory, alpha: Formula, beta: Formula,
 
     # the models of gamma + [alpha] and of gamma + [beta] differ exactly
     # where gamma holds and alpha and beta do not agree
-    return _decide(opts, lambda t: _all(t, map(t.designated, gamma))
+    return _decide(opts, lambda t: t.all(map(t.designated, gamma))
                    & (t.designated(alpha) ^ t.designated(beta)),
                    differ, gamma, alpha, beta).equivalent

@@ -20,7 +20,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import repeat
 from operator import neg
-from typing import Callable, FrozenSet, Sequence, Union
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Union
 
 from .core import (
     BOT,
@@ -202,29 +202,42 @@ def _impl5(a: int, b: int, mode: EvalMode) -> int:
 
 
 def _val(column: Callable[[Atom], Sequence[int]], width: int, f: Formula,
-         mode: EvalMode) -> Sequence[int]:
+         mode: EvalMode, memo: Optional[Dict[int, Sequence[int]]] = None) -> Sequence[int]:
     """The values of ``f`` at ``width`` points, where ``column(a)`` gives the
-    values of atom ``a`` at those points, in the same order."""
+    values of atom ``a`` at those points, in the same order.
+
+    ``memo`` holds the values of the nodes already folded in this call, by
+    id, so a subformula shared inside ``f``, as in ``iff(alpha, beta)``, is
+    folded once; ``f`` outlives the call, so those ids stay unique."""
+    if memo is None:
+        memo = {}
+    out = memo.get(id(f))
+    if out is not None:
+        return out
     if isinstance(f, Bot):
-        return (-2,) * width
-    if isinstance(f, Top):
-        return (2,) * width
-    if isinstance(f, AtomRef):
-        return column(f.atom)
-    if isinstance(f, And):
-        return list(map(min, _val(column, width, f.left, mode),
-                        _val(column, width, f.right, mode)))
-    if isinstance(f, Or):
-        return list(map(max, _val(column, width, f.left, mode),
-                        _val(column, width, f.right, mode)))
-    if isinstance(f, XNeg):
-        return list(map(neg, _val(column, width, f.child, mode)))
-    if isinstance(f, DNeg):
-        return list(map(_impl5, _val(column, width, f.child, mode), repeat(-2), repeat(mode)))
-    if isinstance(f, Impl):
-        return list(map(_impl5, _val(column, width, f.left, mode),
-                        _val(column, width, f.right, mode), repeat(mode)))
-    raise TypeError(f"cannot evaluate {type(f).__name__}")
+        out = (-2,) * width
+    elif isinstance(f, Top):
+        out = (2,) * width
+    elif isinstance(f, AtomRef):
+        out = column(f.atom)
+    elif isinstance(f, And):
+        out = list(map(min, _val(column, width, f.left, mode, memo),
+                       _val(column, width, f.right, mode, memo)))
+    elif isinstance(f, Or):
+        out = list(map(max, _val(column, width, f.left, mode, memo),
+                       _val(column, width, f.right, mode, memo)))
+    elif isinstance(f, XNeg):
+        out = list(map(neg, _val(column, width, f.child, mode, memo)))
+    elif isinstance(f, DNeg):
+        out = list(map(_impl5, _val(column, width, f.child, mode, memo),
+                       repeat(-2), repeat(mode)))
+    elif isinstance(f, Impl):
+        out = list(map(_impl5, _val(column, width, f.left, mode, memo),
+                       _val(column, width, f.right, mode, memo), repeat(mode)))
+    else:
+        raise TypeError(f"cannot evaluate {type(f).__name__}")
+    memo[id(f)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Everything here is brute force by design: the search space is the 5^n
 here/there points, and the point of the artifact is checkable correctness,
-not scale.  A guard refuses signatures that would blow up.
+not scale.  ``truthtable`` owns that space: the signature and its guard
+(``SolveOptions.space``), the point order and the reference enumerators,
+which this module re-exports.
 
 Each engine makes one bitsliced pass over those points
 (``truthtable.minimal_totals``).  It builds a mask of the points (h, t) where
@@ -22,17 +24,13 @@ points in the mask that nothing was folded onto.  The three engines that
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from .core import (
     And,
-    Atom,
     AtomRef,
     Bot,
     DNeg,
-    ExplicitLiteral,
     Formula,
     Impl,
     Interpretation,
@@ -41,9 +39,7 @@ from .core import (
     Program,
     Theory,
     Top,
-    X5Interpretation,
     XNeg,
-    atoms,
     is_explicit,
 )
 from .reduct import (  # noqa: F401  bench/tracing.py wraps these module bindings
@@ -51,11 +47,12 @@ from .reduct import (  # noqa: F401  bench/tracing.py wraps these module binding
     reduct_program,
 )
 from .truthtable import (
-    _FIVE_STATES,
-    _TRI_STATES,
+    DEFAULT_MAX_ATOMS,
     Chunk,
     SignatureTooLarge,
-    _guarded,
+    SolveOptions,
+    enumerate_interpretations,
+    enumerate_x5,
     minimal_totals,
 )
 
@@ -73,8 +70,6 @@ __all__ = [
     "equilibrium_models_ferraris",
 ]
 
-DEFAULT_MAX_ATOMS = 12
-
 
 class InternalInconsistency(RuntimeError):
     """Two routes that must agree did not: an engine, a truth table or a
@@ -83,63 +78,6 @@ class InternalInconsistency(RuntimeError):
 
 class NotExplicit(ValueError):
     """A program containing default negation was passed where an explicit one is required."""
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Knobs shared by all enumeration entry points.
-
-    ``signature`` extends the atoms found in the input (it never shrinks
-    them); any iterable of atoms is stored as a frozenset.
-    """
-
-    signature: Optional[frozenset] = None
-    max_atoms: int = DEFAULT_MAX_ATOMS
-
-    def __post_init__(self) -> None:
-        if self.signature is not None:
-            object.__setattr__(self, "signature", frozenset(self.signature))
-
-
-def _effective_signature(opts: SolveOptions, *inputs) -> List[Atom]:
-    """Sorted atoms of the inputs plus the extra atoms; the enumerators guard it."""
-    sig = set()
-    for x in inputs:
-        sig |= atoms(x)
-    if opts.signature:
-        sig |= opts.signature
-    return sorted(sig)
-
-
-# ---------------------------------------------------------------------------
-# Candidate spaces
-
-
-def enumerate_interpretations(signature: Iterable[Atom],
-                              max_atoms: int = DEFAULT_MAX_ATOMS) -> Iterator[Interpretation]:
-    """All 3^n consistent literal sets over the signature, in a fixed order."""
-    ordered = _guarded(signature, max_atoms)
-    for states in itertools.product(_TRI_STATES, repeat=len(ordered)):
-        lits = [ExplicitLiteral(a, negated=s < 0)
-                for a, s in zip(ordered, states) if s != 0]
-        yield Interpretation(lits)
-
-
-def enumerate_x5(signature: Iterable[Atom],
-                 max_atoms: int = DEFAULT_MAX_ATOMS) -> Iterator[X5Interpretation]:
-    """All 5^n here/there pairs over the signature, in a fixed order."""
-    ordered = _guarded(signature, max_atoms)
-    for states in itertools.product(_FIVE_STATES, repeat=len(ordered)):
-        here = []
-        there = []
-        for a, v in zip(ordered, states):
-            if v == 0:
-                continue
-            lit = ExplicitLiteral(a, negated=v < 0)
-            there.append(lit)
-            if abs(v) == 2:
-                here.append(lit)
-        yield X5Interpretation(Interpretation(here), Interpretation(there))
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +147,12 @@ def _ferraris_masks(chunk: Chunk, f: Formula) -> Tuple[int, int, int, int]:
     return plus & sat, minus & fals, sat, fals
 
 
-def _all(chunk: Chunk, masks: Iterable[int]) -> int:
-    """The AND of ``masks``; the rest are not built once it is empty."""
-    bits = chunk.full
-    for mask in masks:
-        bits &= mask
-        if not bits:
-            break
-    return bits
-
-
 def _rules_hold(chunk: Chunk, p: Program) -> int:
     """The points (h, t) where h satisfies every rule of ``p^t``."""
     def holds(r) -> int:
         return (chunk.full ^ _nested_masks(chunk, r.body)[0]) | _nested_masks(chunk, r.head)[0]
 
-    return _all(chunk, map(holds, p))
+    return chunk.all(map(holds, p))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +161,7 @@ def _rules_hold(chunk: Chunk, p: Program) -> int:
 
 def _minimal(opts: Optional[SolveOptions], gamma,
              relation: Callable[[Chunk], int]) -> List[Interpretation]:
-    opts = opts or SolveOptions()
-    return minimal_totals(_effective_signature(opts, gamma), opts.max_atoms, relation)
+    return minimal_totals((opts or SolveOptions()).space(gamma), relation)
 
 
 def _theory(gamma: Union[Theory, Program]) -> Theory:
@@ -258,12 +185,12 @@ def equilibrium_models(gamma: Union[Theory, Program],
                        opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """Total models admitting no strictly smaller here world."""
     theory = _theory(gamma)
-    return _minimal(opts, gamma, lambda chunk: _all(chunk, map(chunk.designated, theory)))
+    return _minimal(opts, gamma, lambda chunk: chunk.all(map(chunk.designated, theory)))
 
 
 def equilibrium_models_ferraris(gamma: Union[Theory, Program],
                                 opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """Equilibrium models computed as minimal models of the positive reduct."""
     theory = _theory(gamma)
-    return _minimal(opts, gamma, lambda chunk: _all(
-        chunk, (_ferraris_masks(chunk, f)[0] for f in theory)))
+    return _minimal(opts, gamma, lambda chunk: chunk.all(
+        _ferraris_masks(chunk, f)[0] for f in theory))

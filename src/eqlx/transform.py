@@ -43,8 +43,7 @@ from .core import (
     Rule,
     Top,
     XNeg,
-    _conjuncts,
-    _disjuncts,
+    _operands,
     as_explicit_literal,
     atom,
     atoms,
@@ -52,7 +51,7 @@ from .core import (
 )
 from .semantics import EvalMode, _val
 from .semantics import value5  # noqa: F401  bench/tracing.py wraps this module binding
-from .solver import enumerate_x5
+from .truthtable import enumerate_x5
 
 __all__ = [
     "NotInNNF",
@@ -588,23 +587,23 @@ def export_asp(p: Program) -> str:
     for i, r in enumerate(p):
         if isinstance(r.body, Top) and isinstance(r.head, Bot):
             raise NotRegular(f"rule {i} has an empty body and an empty head")
-        head_txt = "" if isinstance(r.head, Bot) else _render(r.head, heads, _disjuncts, " ; ", i)
+        head_txt = "" if isinstance(r.head, Bot) else _render(r.head, heads, Or, " ; ", i)
         if isinstance(r.body, Top):
             lines.append(f"{head_txt}.")
         else:
-            body_txt = _render(r.body, bodies, _conjuncts, ", ", i, allow_double=True)
+            body_txt = _render(r.body, bodies, And, ", ", i, allow_double=True)
             lines.append(f"{head_txt} :- {body_txt}." if head_txt else f":- {body_txt}.")
     return "".join(line + "\n" for line in lines)
 
 
-def _render(f: Formula, rendered: Dict[Formula, str], items, sep: str, rule_index: int,
-            allow_double: bool = False) -> str:
-    """The literals ``items(f)`` joined by ``sep``, looked up in or added to
-    ``rendered``."""
+def _render(f: Formula, rendered: Dict[Formula, str], join: type, sep: str,
+            rule_index: int, allow_double: bool = False) -> str:
+    """The literals of the ``join`` chain ``f`` joined by ``sep``, looked up in
+    or added to ``rendered``."""
     text = rendered.get(f)
     if text is None:
         text = rendered[f] = sep.join(_render_literal(x, rule_index, allow_double)
-                                      for x in items(f))
+                                      for x in _operands(f, join))
     return text
 
 

@@ -25,14 +25,20 @@ point (h, t) with h a strict subset of t is in.  Folding moves every
 strictly smaller point onto its total point: for each atom, the bits where
 its value is 1 or -1 (here lacks the literal that there has) are ORed into
 the bits where it is 2 or -2.  The total points in ascending bit order are
-the ``enumerate_interpretations`` order.  The guard that bounds every scan,
-``_guarded``, lives here too.
+the ``enumerate_interpretations`` order.
+
+This module owns the space.  ``SolveOptions.space`` is the one place that
+turns inputs into a signature: their atoms plus the extra ones, sorted, and
+refused above the guard.  The scans take the ``_Space`` it returns, and the
+reference enumerators ``enumerate_interpretations`` and ``enumerate_x5`` walk
+the same per-atom state order point by point.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -49,9 +55,22 @@ from .core import (
     Top,
     X5Interpretation,
     XNeg,
+    atoms,
 )
 
-__all__ = ["SignatureTooLarge", "Chunk", "chunks", "first_point", "minimal_totals"]
+__all__ = [
+    "DEFAULT_MAX_ATOMS",
+    "SignatureTooLarge",
+    "SolveOptions",
+    "Chunk",
+    "chunks",
+    "enumerate_interpretations",
+    "enumerate_x5",
+    "first_point",
+    "minimal_totals",
+]
+
+DEFAULT_MAX_ATOMS = 12
 
 
 class SignatureTooLarge(ValueError):
@@ -72,6 +91,48 @@ def _guarded(signature: Iterable[Atom], max_atoms: int) -> List[Atom]:
         raise SignatureTooLarge(
             f"signature has {len(ordered)} atoms, guard allows {max_atoms}")
     return ordered
+
+
+@dataclass(frozen=True)
+class SolveOptions:
+    """Knobs shared by all enumeration entry points.
+
+    ``signature`` extends the atoms found in the input (it never shrinks
+    them); any iterable of atoms is stored as a frozenset.
+    """
+
+    signature: Optional[frozenset] = None
+    max_atoms: int = DEFAULT_MAX_ATOMS
+
+    def __post_init__(self) -> None:
+        if self.signature is not None:
+            object.__setattr__(self, "signature", frozenset(self.signature))
+
+    def space(self, *inputs) -> "_Space":
+        """The space over the atoms of ``inputs`` plus the extra atoms, sorted;
+        ``SignatureTooLarge`` when there are more than ``max_atoms``."""
+        sig = set(self.signature or ())
+        for x in inputs:
+            sig |= atoms(x)
+        return _Space(_guarded(sig, self.max_atoms))
+
+
+def enumerate_interpretations(signature: Iterable[Atom],
+                              max_atoms: int = DEFAULT_MAX_ATOMS) -> Iterator[Interpretation]:
+    """All 3^n consistent literal sets over the signature, in a fixed order."""
+    ordered = _guarded(signature, max_atoms)
+    for states in itertools.product(_TRI_STATES, repeat=len(ordered)):
+        lits = [ExplicitLiteral(a, negated=s < 0)
+                for a, s in zip(ordered, states) if s != 0]
+        yield Interpretation(lits)
+
+
+def enumerate_x5(signature: Iterable[Atom],
+                 max_atoms: int = DEFAULT_MAX_ATOMS) -> Iterator[X5Interpretation]:
+    """All 5^n here/there pairs over the signature, in a fixed order."""
+    ordered = _guarded(signature, max_atoms)
+    for states in itertools.product(_FIVE_STATES, repeat=len(ordered)):
+        yield X5Interpretation.from_values(dict(zip(ordered, states)))
 
 
 # Atoms that vary inside one chunk: 5^7 = 78125 points.
@@ -138,6 +199,15 @@ class Chunk:
         """The points where ``f`` takes the value 2."""
         return self._levels(f, {})[3]
 
+    def all(self, masks: Iterable[int]) -> int:
+        """The AND of ``masks``; the rest are not built once it is empty."""
+        bits = self.full
+        for mask in masks:
+            bits &= mask
+            if not bits:
+                break
+        return bits
+
     def _levels(self, f: Formula, memo: Dict[int, Levels]) -> Levels:
         # the formula outlives the call, so the ids of its nodes stay unique
         hit = memo.get(id(f))
@@ -180,11 +250,11 @@ class Chunk:
 
 
 class _Space:
-    """The 5^n points over a guarded signature: the leading atoms fix a
-    chunk, the last ``_CHUNK_ATOMS`` vary inside it."""
+    """The 5^n points over a guarded signature, ``atoms`` in sorted order:
+    the leading atoms fix a chunk, the last ``_CHUNK_ATOMS`` vary inside it."""
 
-    def __init__(self, signature: Iterable[Atom], max_atoms: int):
-        ordered = _guarded(signature, max_atoms)
+    def __init__(self, ordered: List[Atom]):
+        self.atoms = ordered
         split = max(0, len(ordered) - _CHUNK_ATOMS)
         self.lead, self.inner = ordered[:split], ordered[split:]
         size = 5 ** len(self.inner)
@@ -202,26 +272,23 @@ class _Space:
         return Chunk(full, dict(zip(self.lead, states)), self.inner, atom_levels)
 
 
-def chunks(signature: Iterable[Atom], max_atoms: int) -> Iterator[Chunk]:
-    """The 5^n points over the signature as chunks, in ``enumerate_x5`` order."""
-    space = _Space(signature, max_atoms)
+def chunks(space: _Space) -> Iterator[Chunk]:
+    """The 5^n points of the space as chunks, in ``enumerate_x5`` order."""
     for states in itertools.product(_FIVE_STATES, repeat=len(space.lead)):
         yield space.chunk(states)
 
 
-def first_point(signature: Iterable[Atom], max_atoms: int,
-                hits: Callable[[Chunk], int]) -> Optional[X5Interpretation]:
+def first_point(space: _Space, hits: Callable[[Chunk], int]) -> Optional[X5Interpretation]:
     """The first point, in ``enumerate_x5`` order, in the mask ``hits`` builds
     for each chunk; None when every mask is empty."""
-    for chunk in chunks(signature, max_atoms):
+    for chunk in chunks(space):
         bits = hits(chunk)
         if bits:
             return chunk.point((bits & -bits).bit_length() - 1)
     return None
 
 
-def minimal_totals(signature: Iterable[Atom], max_atoms: int,
-                   relation: Callable[[Chunk], int]) -> List[Interpretation]:
+def minimal_totals(space: _Space, relation: Callable[[Chunk], int]) -> List[Interpretation]:
     """The there-worlds t, in ``enumerate_interpretations`` order, whose total
     point (t, t) is in the mask ``relation`` builds for each chunk while no
     point (h, t) with h a strict subset of t is.
@@ -230,7 +297,6 @@ def minimal_totals(signature: Iterable[Atom], max_atoms: int,
     comes first; each of its strictly smaller leading variants then removes
     its folded mask from the candidates, until none is left.
     """
-    space = _Space(signature, max_atoms)
     total = space.full
     lowered = []  # (stride, points where the atom's value is 1 or -1)
     for a, stride in zip(space.inner, space.strides):
@@ -245,7 +311,7 @@ def minimal_totals(signature: Iterable[Atom], max_atoms: int,
         return mask
 
     literal = {(a, v): ExplicitLiteral(a, negated=v < 0)
-               for a in space.lead + space.inner for v in (2, -2)}
+               for a in space.atoms for v in (2, -2)}
     found = []
     for there in itertools.product(_TRI_STATES, repeat=len(space.lead)):
         chunk = space.chunk([2 * v for v in there])

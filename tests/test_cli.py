@@ -258,6 +258,78 @@ class TestValidAndEquiv:
         assert (code, out) == (0, "weakly equivalent\n")
 
 
+def _chain(op, arrows):
+    return f" {op} ".join(["p"] * (arrows + 1))
+
+
+# Outputs of ``valid CHAIN``, ``equiv weak CHAIN p`` and ``equiv subst CHAIN p``
+# by arrow count: they repeat with period 2 for ``<->`` and 4 for ``<=>``, as
+# read off the commands at 1-8 arrows before shared subformulas were walked once.
+_VALID = (0, "valid\n")
+_NOT_VALID = (1, "not valid\nwitness: p=0 : 0\n")
+_WEAK = (0, "weakly equivalent\n")
+_NOT_WEAK = (1, "not weakly equivalent\nwitness: p=0 : 2 vs 0\n")
+_SUBST = (0, "substitution-equivalent\n")
+_NOT_SUBST = (1, "not substitution-equivalent\nwitness: p=0 : 2 vs 0\n")
+_CHAIN_OUTPUTS = {
+    "<->": [(_NOT_VALID, _WEAK, _SUBST), (_VALID, _NOT_WEAK, _NOT_SUBST)],
+    "<=>": [(_NOT_VALID, _WEAK, _SUBST),
+            (_VALID, _NOT_WEAK, _NOT_SUBST),
+            (_NOT_VALID, _WEAK,
+             (1, "not substitution-equivalent\nwitness: p=-1 : -2 vs -1\n")),
+            ((1, "not valid\nwitness: p=-1 : 1\n"), _NOT_WEAK, _NOT_SUBST)],
+}
+
+
+class TestSharedSubformulas:
+    """``<->`` and ``<=>`` share their operands, so a chain of k arrows has
+    O(k) nodes but unfolds into a tree of 2^k."""
+
+    @pytest.mark.parametrize("op", sorted(_CHAIN_OUTPUTS))
+    @pytest.mark.parametrize("arrows", [*range(1, 9), 40, 41, 42, 43])
+    def test_chain_outputs_repeat_with_the_arrow_count(self, capsys, op, arrows):
+        periodic = _CHAIN_OUTPUTS[op]
+        expected = periodic[arrows % len(periodic)]
+        text = _chain(op, arrows)
+        got = [run(capsys, "valid", text), run(capsys, "equiv", "weak", text, "p"),
+               run(capsys, "equiv", "subst", text, "p")]
+        assert got == [(*e, "") for e in expected]
+
+    def test_each_shared_node_is_walked_once(self, capsys, monkeypatch):
+        import eqlx.cli
+        from eqlx import core, parse_formula, semantics
+
+        text = _chain("<->", 12)
+        f = parse_formula(text)
+        edges, tree, seen = 0, 0, set()
+        stack = [f]
+        while stack:  # edges between distinct nodes, and nodes of the unfolded tree
+            g = stack.pop()
+            tree += 1
+            children = [getattr(g, n) for n in ("left", "right", "child") if hasattr(g, n)]
+            if id(g) not in seen:
+                seen.add(id(g))
+                edges += len(children)
+            stack += children
+        assert tree > 8000
+
+        calls = {"_collect_atoms": 0, "_val": 0}
+        for module, name in ((core, "_collect_atoms"), (semantics, "_val")):
+            def counting(*args, _name=name, _original=getattr(module, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(module, name, counting)
+
+        def no_printing(x):
+            raise AssertionError("printed in text mode")
+
+        monkeypatch.setattr(eqlx.cli, "canonical_print", no_printing)
+        assert run(capsys, "valid", text) == (*_NOT_VALID, "")
+        # two walks each: one to decide and one to report; a walk calls once
+        # for the root and once per edge
+        assert calls == {"_collect_atoms": 2 * (1 + edges), "_val": 2 * (1 + edges)}
+
+
 class TestContext:
     def test_tautology_versus_double_negation(self, capsys):
         code, out, _ = run(capsys, "context", "p -> p", "not not p -> p")

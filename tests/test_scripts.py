@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -58,3 +60,15 @@ def test_mode_divergence_report_deep_formula():
     done = _script("mode_divergence_report.py", " & ".join(["p"] * 3000))
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "error: formula nests too deeply to evaluate\n"
+
+
+def test_every_traced_binding_resolves():
+    # bench/run.py --trace 1 installs a wrapper at each (module, attribute) of
+    # bench/tracing.py's WRAPS and fails on a binding that is gone
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAPS
+    missing = [(module, name) for module, name, *_ in tracing.WRAPS
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

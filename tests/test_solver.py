@@ -370,7 +370,7 @@ class TestSharedScanMatchesSeparateLoops:
 
 def _pointwise(f, mask_of, scalar):
     """Compare bit i of each mask with the scalar relation at the i-th point."""
-    [chunk] = list(truthtable.chunks(ATOMS, len(ATOMS)))
+    [chunk] = list(truthtable.chunks(SolveOptions(signature=ATOMS, max_atoms=len(ATOMS)).space()))
     masks = mask_of(chunk, f)
     for i, m in enumerate(enumerate_x5(ATOMS)):
         expected = scalar(m.here.literals, m.there.literals)

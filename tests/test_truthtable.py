@@ -1,5 +1,6 @@
 """The truth-table route against the reference routes it replaced."""
 
+import itertools
 import random
 from unittest import mock
 
@@ -18,8 +19,10 @@ from eqlx import (
     Bot,
     DNeg,
     EquivalentFormulas,
+    ExplicitLiteral,
     Impl,
     InternalInconsistency,
+    Interpretation,
     Or,
     SignatureTooLarge,
     SolveOptions,
@@ -44,7 +47,7 @@ from eqlx.truthtable import chunks
 
 
 def _only_chunk(sig):
-    [chunk] = list(chunks(sig, len(sig)))
+    [chunk] = list(chunks(SolveOptions(signature=sig, max_atoms=len(sig)).space()))
     return chunk
 
 
@@ -96,7 +99,7 @@ def test_a_call_compiles_each_shared_node_once_and_keeps_nothing():
 
 def test_chunks_hold_at_most_five_to_the_seventh_points():
     sig = [Atom(f"a{i}") for i in range(9)]
-    sizes = [c.full.bit_length() for c in chunks(sig, 12)]
+    sizes = [c.full.bit_length() for c in chunks(SolveOptions(signature=sig).space())]
     assert sizes == [5 ** 7] * 25
 
 
@@ -104,7 +107,8 @@ def test_chunks_hold_at_most_five_to_the_seventh_points():
 def test_points_follow_enumeration_order_across_chunks(chunk_atoms):
     sig = [Atom(n) for n in ("a", "b", "c", "d")]
     with mock.patch.object(truthtable, "_CHUNK_ATOMS", chunk_atoms):
-        decoded = [c.point(i) for c in chunks(sig, 12) for i in range(c.full.bit_length())]
+        decoded = [c.point(i) for c in chunks(SolveOptions(signature=sig).space())
+                   for i in range(c.full.bit_length())]
     assert decoded == list(enumerate_x5(sig))
 
 
@@ -196,6 +200,59 @@ def test_guard_counts_extra_signature_atoms():
     extra = SolveOptions(signature={Atom("q")}, max_atoms=1)
     with pytest.raises(SignatureTooLarge):
         is_valid(Impl(AtomRef(Atom("p")), AtomRef(Atom("p"))), extra)
+
+
+def test_space_sorts_the_atoms_of_every_input_with_the_extra_atoms():
+    p, q, r, z = (Atom(n) for n in "pqrz")
+    opts = SolveOptions(signature={z, q})
+    space = opts.space(parse_formula("r & q"), Theory([parse_formula("p | ~r")]))
+    assert space.atoms == [p, q, r, z]
+    assert SolveOptions().space(parse_formula("q -> p"), parse_formula("p")).atoms == [p, q]
+
+
+def test_an_empty_space_has_one_chunk_of_one_point():
+    for space in (SolveOptions().space(), SolveOptions(max_atoms=0).space(TOP, BOT)):
+        assert space.atoms == []
+        [chunk] = list(chunks(space))
+        assert (chunk.full, chunk.point(0)) == (1, X5Interpretation((), ()))
+
+
+@pytest.mark.parametrize("max_atoms", [0, 2, 12])
+def test_space_guard_message_one_atom_above(max_atoms):
+    names = [Atom(f"a{i:02}") for i in range(max_atoms + 1)]
+    inputs = [AtomRef(a) for a in names[1:]]
+    assert SolveOptions(max_atoms=max_atoms + 1).space(*inputs).atoms == names[1:]
+    assert len(SolveOptions(max_atoms=max_atoms).space(*inputs).atoms) == max_atoms
+    # an extra atom counts against the guard; one the input has does not
+    widened = SolveOptions(signature={names[0], names[-1]}, max_atoms=max_atoms)
+    with pytest.raises(SignatureTooLarge) as caught:
+        widened.space(*inputs)
+    assert str(caught.value) == (
+        f"signature has {max_atoms + 1} atoms, guard allows {max_atoms}")
+
+
+def _hand_rolled_x5(signature):
+    """The here/there loop ``enumerate_x5`` had before it used the codec."""
+    ordered = sorted(set(signature))
+    for states in itertools.product((0, 1, 2, -1, -2), repeat=len(ordered)):
+        here, there = [], []
+        for a, v in zip(ordered, states):
+            if v == 0:
+                continue
+            lit = ExplicitLiteral(a, negated=v < 0)
+            there.append(lit)
+            if abs(v) == 2:
+                here.append(lit)
+        yield X5Interpretation(Interpretation(here), Interpretation(there))
+
+
+@given(st.lists(st.sampled_from(ATOMS + (Atom("z"), Atom("a_1"))), max_size=5))
+@settings(max_examples=60)
+def test_enumerate_x5_matches_the_hand_rolled_loop(signature):
+    got = list(enumerate_x5(signature))
+    expected = list(_hand_rolled_x5(signature))
+    assert got == expected
+    assert [str(m) for m in got] == [str(m) for m in expected]
 
 
 # ---------------------------------------------------------------------------
