@@ -3,13 +3,14 @@
 Formulas combine explicit negation ``~`` (constructive falsity) with default
 negation ``not`` (negation as failure) over the usual connectives.  Every type
 in this module is immutable, hashable and compared structurally, so values can
-be shared freely between threads.  A formula node computes its hash once, on
-the first ``hash()``, and caches it in its ``_hash`` slot; the value is the one
-the dataclass derives from the node's fields.  Nestedness (``is_nested``) is
-cached the same way, in the ``_nested`` slot, so a side shared by many rules
-is checked once.  These writes are the only ones after construction, and they
-are idempotent: every thread that makes one stores the same value, so a node
-stays immutable in effect and safe to share.
+be shared freely between threads.  A formula node's constructor fills every
+slot: its fields, ``_nested`` (whether it is a nested expression, read off
+its children's ``_nested``, so ``is_nested`` and ``Rule`` read one slot and
+never recurse) and ``_hash``, set to None.  The hash stays lazy: the first
+``hash()`` computes the value the dataclass derives from the node's fields
+and stores it in ``_hash``.  That write is the only one after construction,
+and it is idempotent: every thread that makes it stores the same value, so a
+node stays immutable in effect and safe to share.
 """
 
 from __future__ import annotations
@@ -123,16 +124,21 @@ class Formula:
     """
 
     __slots__ = ("_hash", "_nested")
+    _nested_connective = True  # may join nested expressions; not a slot
 
     def __hash__(self) -> int:
         # hash(fields), as the dataclass would compute it, computed once.  The
         # fields are read before the tuple is hashed, so a deep tree still
         # costs one frame per level on its first hash.
-        h = getattr(self, "_hash", None)
+        h = self._hash
         if h is None:
             h = hash(self._field_tuple(self))
             _store_hash(self, h)
         return h
+
+    def __reduce__(self):
+        # rebuild through the constructor, which fills the cache slots
+        return type(self), self._field_tuple(self)
 
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
@@ -171,8 +177,8 @@ def _refuse_delattr(self, name: str) -> None:
 
 
 def _node(cls: type) -> type:
-    """A formula node: a frozen, slotted dataclass whose hash
-    :meth:`Formula.__hash__` caches."""
+    """A formula node: a frozen, slotted dataclass whose constructor fills
+    every slot and whose hash :meth:`Formula.__hash__` caches."""
     cls = _frozen(cls)
     names = cls.__slots__  # the fields
     if len(names) > 1:
@@ -182,8 +188,43 @@ def _node(cls: type) -> type:
         cls._field_tuple = staticmethod(lambda f: (get(f),))
     else:
         cls._field_tuple = staticmethod(lambda f: ())
+    cls.__init__ = _constructor(names, [getattr(cls, n).__set__ for n in names],
+                                cls._nested_connective)
     cls.__hash__ = Formula.__hash__
     return cls
+
+
+def _constructor(names: tuple, setters: list, nested_connective: bool):
+    """The ``__init__`` of a node with fields ``names``: it stores the fields
+    through their slot ``setters``, ``_hash`` as None and ``_nested`` as the
+    conjunction of ``nested_connective`` and the children's ``_nested``."""
+    if names == ("left", "right"):
+        set_left, set_right = setters
+
+        def __init__(self, left, right):
+            set_left(self, left)
+            set_right(self, right)
+            _store_hash(self, None)
+            _store_nested(self, nested_connective and left._nested and right._nested)
+    elif names == ("child",):
+        set_child, = setters
+
+        def __init__(self, child):
+            set_child(self, child)
+            _store_hash(self, None)
+            _store_nested(self, child._nested)
+    elif names == ("atom",):
+        set_atom, = setters
+
+        def __init__(self, atom):
+            set_atom(self, atom)
+            _store_hash(self, None)
+            _store_nested(self, True)
+    else:  # a constant
+        def __init__(self):
+            _store_hash(self, None)
+            _store_nested(self, True)
+    return __init__
 
 
 # write the slots past the frozen dataclass's __setattr__
@@ -241,6 +282,8 @@ class Or(Formula):
 class Impl(Formula):
     left: Formula
     right: Formula
+
+    _nested_connective = False  # the one connective nested expressions exclude
 
 
 BOT = Bot()
@@ -521,21 +564,8 @@ def substitute(phi: Formula, p: Atom, alpha: Formula) -> Formula:
 
 
 def is_nested(phi: Formula) -> bool:
-    """True iff ``phi`` contains no implication node; cached on the node."""
-    nested = getattr(phi, "_nested", None)
-    if nested is None:
-        if isinstance(phi, Impl):
-            nested = False
-        elif isinstance(phi, (XNeg, DNeg)):
-            nested = is_nested(phi.child)
-        elif isinstance(phi, (And, Or)):
-            nested = is_nested(phi.left) and is_nested(phi.right)
-        elif isinstance(phi, Formula):
-            nested = True
-        else:
-            return True
-        _store_nested(phi, nested)
-    return nested
+    """True iff ``phi`` contains no implication node; read off its slot."""
+    return phi._nested if isinstance(phi, Formula) else True
 
 
 def is_explicit(x: Union[Formula, Rule, Program]) -> bool:
@@ -600,91 +630,81 @@ def is_regular(r: Rule) -> bool:
 # ---------------------------------------------------------------------------
 # Canonical printing
 
-_PREC_IMPL = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_PREFIX = 4
-_PREC_ATOM = 5
+# Binding strength of each connective; atoms and constants bind tightest (5).
+_PREC = {Impl: 1, Or: 2, And: 3, XNeg: 4, DNeg: 4}
+_INFIX = {Impl: " -> ", Or: " | ", And: " & "}
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, Impl):
-        return _PREC_IMPL
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, (XNeg, DNeg)):
-        return _PREC_PREFIX
-    return _PREC_ATOM
-
-
-def _print_formula(f: Formula) -> str:
-    if isinstance(f, Bot):
-        return "bot"
-    if isinstance(f, Top):
-        return "top"
-    if isinstance(f, AtomRef):
-        return f.atom.name
-    if isinstance(f, XNeg):
-        inner = _wrap(f.child, _PREC_PREFIX)
-        sep = " " if isinstance(f.child, (XNeg, DNeg)) else ""
-        return "~" + sep + inner
-    if isinstance(f, DNeg):
-        return "not " + _wrap(f.child, _PREC_PREFIX)
-    if isinstance(f, And):
-        left = _wrap(f.left, _PREC_AND)
-        right = _wrap(f.right, _PREC_AND, right_of_same=isinstance(f.right, And))
-        return f"{left} & {right}"
-    if isinstance(f, Or):
-        left = _wrap(f.left, _PREC_OR)
-        right = _wrap(f.right, _PREC_OR, right_of_same=isinstance(f.right, Or))
-        return f"{left} | {right}"
-    if isinstance(f, Impl):
-        # right-associative: only a left child that is itself an implication
-        # needs parentheses
-        left = _wrap(f.left, _PREC_IMPL, right_of_same=isinstance(f.left, Impl))
-        right = _print_formula(f.right)
-        return f"{left} -> {right}"
-    raise TypeError(f"cannot print {type(f).__name__}")
-
-
-def _wrap(f: Formula, parent_prec: int, right_of_same: bool = False) -> str:
-    s = _print_formula(f)
-    if _prec(f) < parent_prec or right_of_same:
-        return "(" + s + ")"
-    return s
-
-
-def _print_side(f: Formula, printed: Dict[Formula, str]) -> str:
-    text = printed.get(f)
-    if text is None:
-        text = printed[f] = _print_formula(f)
+def _print_formula(f: Formula, printed: Dict[int, str]) -> str:
+    """``f`` printed.  ``printed`` maps the id of each node printed so far
+    in one call to its text, so a node shared inside the input, such as an
+    operand of ``<->`` or a chain that many rules extend, is printed once.
+    An operand is parenthesized when it binds less tightly than its
+    connective, and so is the same connective on the right of ``&`` and
+    ``|`` and on the left of ``->``."""
+    text = printed.get(id(f))
+    if text is not None:
+        return text
+    kind = type(f)
+    prec = _PREC.get(kind)
+    if prec is None:
+        if kind is AtomRef:
+            text = f.atom.name
+        elif kind is Top:
+            text = "top"
+        elif kind is Bot:
+            text = "bot"
+        else:
+            raise TypeError(f"cannot print {kind.__name__}")
+    elif prec == 4:  # ~ or not
+        child = f.child
+        text = _print_formula(child, printed)
+        if _PREC.get(type(child), 5) < 4:
+            text = "(" + text + ")"
+        if kind is DNeg:
+            text = "not " + text
+        else:
+            text = ("~ " if type(child) in (XNeg, DNeg) else "~") + text
+    else:
+        left, right = f.left, f.right
+        left_prec, right_prec = _PREC.get(type(left), 5), _PREC.get(type(right), 5)
+        if kind is Impl:  # right-associative
+            wrap_left, wrap_right = left_prec == prec, False
+        else:
+            wrap_left, wrap_right = left_prec < prec, right_prec <= prec
+        left_text = _print_formula(left, printed)
+        if wrap_left:
+            left_text = "(" + left_text + ")"
+        right_text = _print_formula(right, printed)
+        if wrap_right:
+            right_text = "(" + right_text + ")"
+        text = left_text + _INFIX[kind] + right_text
+    printed[id(f)] = text
     return text
 
 
-def _print_rule(r: Rule, printed: Dict[Formula, str]) -> str:
-    """``r`` printed, with its sides looked up in or added to ``printed``."""
-    head = _print_side(r.head, printed)
+def _print_rule(r: Rule, printed: Dict[int, str]) -> str:
+    head = _print_formula(r.head, printed)
     if isinstance(r.body, Top):
         return f"{head}."
-    return f"{_print_side(r.body, printed)} -> {head}."
+    return f"{_print_formula(r.body, printed)} -> {head}."
 
 
 def canonical_print(x) -> str:
     """Deterministic ASCII rendering; the parser accepts everything emitted.
 
-    A program prints each distinct rule body and head once: regularization
-    shares them between many rules."""
+    Each distinct node of ``x`` is printed once, by id: a node shared inside
+    a formula, or between the rules of a program, costs one lookup."""
     if isinstance(x, Formula):
-        return _print_formula(x)
+        return _print_formula(x, {})
     if isinstance(x, Rule):
         return _print_rule(x, {})
     if isinstance(x, Program):
-        printed: Dict[Formula, str] = {}
+        printed: Dict[int, str] = {}
         return "".join(_print_rule(r, printed) + "\n" for r in x)
     if isinstance(x, Theory):
-        return "".join(_print_formula(f) + ".\n" for f in x)
+        printed = {}
+        return "".join(_print_formula(f, printed) + ".\n" for f in x)
     if isinstance(x, (Interpretation, X5Interpretation, ExplicitLiteral)):
         return str(x)
     raise TypeError(f"cannot print {type(x).__name__}")

@@ -7,20 +7,22 @@ accepted on input but never emitted.  ``%`` starts a line comment.  Programs
 and theories are sequences of statements terminated by ``.``; a text with no
 ``.`` outside a comment can be read one formula per line (``parse_lines``).
 
-The parser does constant work per token: a token records its kind, text,
-line, column and length, and builds its ``SourceSpan`` only when the span is
-read, as an error does.  Within one parse every occurrence of an atom name is
-the same ``AtomRef`` object; formulas are immutable, so later passes may hash
-or compile that node once.
+The parser does constant work per token.  One ``re.findall`` over the text
+gives the lexemes and one dict lookup per lexeme its kind; the grammar runs
+over these two flat lists, with one loop for the ``&``/``|`` chains and
+prefixes and a call only where the input nests.  A token's line and column
+are computed only when an error or a span needs them, by running the same
+pattern again with ``finditer``.  Within one parse every occurrence of an
+atom name is the same ``AtomRef`` object; formulas are immutable, so later
+passes may hash or compile that node once.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     BOT,
@@ -69,7 +71,8 @@ class ParseError(ValueError):
         self.span = span
 
 
-# Single-character Unicode aliases, normalised during lexing.
+# Single-character Unicode aliases and the ASCII spelling that gives their
+# kind and stands for them in messages.
 _UNICODE_ALIASES = {
     "∼": "~",      # tilde operator
     "¬": "not",
@@ -85,231 +88,249 @@ _UNICODE_ALIASES = {
 
 _KEYWORDS = {"bot", "top", "not"}
 
+# The kind of every lexeme that is not a word; a word is an atom when it
+# starts with a letter or "_" and a lexical error otherwise.
+_KINDS = {
+    **{op: op for op in ("<->", "<=>", "->", "~", "&", "|", "(", ")", "{", "}", ",", ".")},
+    **{keyword: keyword for keyword in _KEYWORDS},
+    "!": "not",
+    **_UNICODE_ALIASES,
+}
 
-class _Token:
-    """One lexeme and the 1-based position where it starts."""
+# One alternative per lexeme, captured; whitespace and comments match
+# uncaptured, so ``findall`` gives "" for them.
+_LEXEME = re.compile(r"[ \t\r\n]+|%[^\n]*|(<->|<=>|->|\w+|.)")
 
-    __slots__ = ("kind", "text", "line", "column", "length")
 
-    def __init__(self, kind: str, text: str, line: int, column: int, length: int):
-        self.kind = kind  # one of: atom bot top not ~ & | -> <-> <=> ( ) { } , . EOF
+def _kind(lexeme: str) -> Optional[str]:
+    kind = _KINDS.get(lexeme)
+    if kind is None and (lexeme[0].isalpha() or lexeme[0] == "_"):
+        return "atom"
+    return kind
+
+
+class _Tokens:
+    """The lexemes of ``text`` and their kinds, as two flat lists that end
+    with the end of input (lexeme "", kind ``EOF``).  A token's position is
+    computed only when its span is asked for, as an error does, by running
+    the lexeme pattern again up to that token.  ``line`` is the number of
+    the text's first line."""
+
+    __slots__ = ("text", "lexemes", "kinds", "line")
+
+    def __init__(self, text: str, lexemes: List[str], kinds: List[Optional[str]], line: int):
         self.text = text
+        self.lexemes = lexemes
+        self.kinds = kinds  # atom bot top not ~ & | -> <-> <=> ( ) { } , . EOF
         self.line = line
-        self.column = column
-        self.length = length
 
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, self.length)
+    def text_of(self, i: int) -> str:
+        """The text of token ``i``, with a Unicode alias normalised."""
+        lexeme = self.lexemes[i]
+        return _UNICODE_ALIASES.get(lexeme, lexeme)
+
+    def span(self, i: int) -> SourceSpan:
+        """Where token ``i`` starts, and its length; the end of input is
+        one character at the end of the text."""
+        text, lexeme = self.text, self.lexemes[i]
+        if lexeme:
+            matches = (m.start(1) for m in _LEXEME.finditer(text) if m.lastindex)
+            start = next(itertools.islice(matches, i, None))
+        else:  # the end of input
+            start = len(text)
+        return SourceSpan(self.line + text.count("\n", 0, start),
+                          start - text.rfind("\n", 0, start), len(lexeme) or 1)
 
 
-# One alternative per lexeme; whitespace and comments match no named group.
-_LEXEME = re.compile(r"""
-    (?P<newline>\n) | [ \t\r]+ | %[^\n]*
-  | (?P<op><->|<=>|->|[~&|(){},.]) | (?P<bang>!)
-  | (?P<alias>[""" + "".join(_UNICODE_ALIASES) + r"""]) | (?P<word>\w+) | (?P<other>.)
-""", re.VERBOSE | re.DOTALL)
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line, line_start = 1, 0
-    for m in _LEXEME.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-            continue
-        lexeme = m.group()
-        column = m.start() - line_start + 1
-        if kind == "op":
-            tokens.append(_Token(lexeme, lexeme, line, column, len(lexeme)))
-        elif kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
-            tokens.append(_Token(lexeme if lexeme in _KEYWORDS else "atom", lexeme,
-                                 line, column, len(lexeme)))
-        elif kind == "bang":
-            tokens.append(_Token("not", lexeme, line, column, 1))
-        elif kind == "alias":
-            alias = _UNICODE_ALIASES[lexeme]
-            tokens.append(_Token(alias, alias, line, column, 1))
-        else:  # a stray character, or a word that starts with a digit such as 2 or ²
-            raise ParseError(f"lexical error: unexpected character {lexeme[0]!r}",
-                             SourceSpan(line, column, 1))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1, 1))
+def _tokenize(text: str, line: int = 1) -> _Tokens:
+    lexemes = list(filter(None, _LEXEME.findall(text)))
+    kind_of = {lexeme: _kind(lexeme) for lexeme in set(lexemes)}
+    kinds = list(map(kind_of.__getitem__, lexemes))
+    tokens = _Tokens(text, lexemes, kinds, line)
+    if None in kind_of.values():  # a stray character, or a word such as 2 or ²
+        bad = kinds.index(None)
+        span = tokens.span(bad)
+        raise ParseError(f"lexical error: unexpected character {lexemes[bad][0]!r}",
+                         SourceSpan(span.line, span.column, 1))
+    lexemes.append("")
+    kinds.append("EOF")
     return tokens
 
 
 # Deepest nesting of parentheses, prefix negations and right-nested
-# implications; each level costs the parser up to seven stack frames.
+# implications; each parenthesis costs the parser up to three stack frames.
 _MAX_NESTING = 100
+
+_PREFIXES = {"~": XNeg, "not": DNeg}
+_ARROWS = ("->", "<->", "<=>")
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token], refs: Optional[Dict[str, AtomRef]] = None):
+    """The grammar over the flat token lists of one text.  Each method takes
+    the index of its first token and returns what it parsed with the index
+    after it; only a parenthesis calls back into :meth:`formula`.
+
+    equivalence := implication (("<->" | "<=>") implication)*
+    implication := disjunction ("->" implication)?
+    disjunction := conjunction ("|" conjunction)*
+    conjunction := prefix ("&" prefix)*
+    prefix      := ("~" | "not") prefix | primary
+    primary     := "bot" | "top" | atom | "(" expr ")"
+    """
+
+    def __init__(self, tokens: _Tokens, refs: Optional[Dict[str, AtomRef]] = None):
         self.tokens = tokens
-        self.pos = 0
+        self.kinds = tokens.kinds
+        self.lexemes = tokens.lexemes
         self.depth = 0
         # one AtomRef per atom name, shared by every occurrence
         self.refs: Dict[str, AtomRef] = {} if refs is None else refs
 
-    # -- token plumbing ----------------------------------------------------
+    # -- errors ----------------------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, self.tokens.span(i))
 
-    def take(self, kind: Optional[str] = None) -> _Token:
-        tok = self.tokens[self.pos]
-        if kind is not None and tok.kind != kind:
-            raise ParseError(self._expected_message(kind, tok), tok.span)
-        self.pos += 1
-        return tok
+    def unexpected(self, i: int) -> ParseError:
+        return self.error(f"unexpected token {self.tokens.text_of(i) or 'end of input'!r}", i)
 
-    @staticmethod
-    def _expected_message(kind: str, tok: _Token) -> str:
-        shown = tok.text or "end of input"
-        if kind == ")":
-            return f"unbalanced parenthesis: expected ')' before {shown!r}"
-        return f"unexpected token {shown!r}: expected {kind!r}"
+    def expect(self, kind: str, i: int) -> int:
+        """The index after token ``i``, which must be of ``kind``."""
+        if self.kinds[i] != kind:
+            shown = self.tokens.text_of(i) or "end of input"
+            if kind == ")":
+                raise self.error(f"unbalanced parenthesis: expected ')' before {shown!r}", i)
+            raise self.error(f"unexpected token {shown!r}: expected {kind!r}", i)
+        return i + 1
 
-    def _unexpected(self, tok: _Token) -> ParseError:
-        shown = tok.text or "end of input"
-        return ParseError(f"unexpected token {shown!r}", tok.span)
-
-    def _enter(self, tok: _Token) -> None:
-        """Open one nesting level at ``tok``; the caller closes it."""
-        self.depth += 1
+    def enter(self, levels: int, i: int) -> None:
+        """Open ``levels`` nesting levels at tokens ``i``, ``i + 1``, ...;
+        the caller closes them."""
+        self.depth += levels
         if self.depth > _MAX_NESTING:
-            raise ParseError("nesting too deep", tok.span)
+            raise self.error("nesting too deep", i + levels - (self.depth - _MAX_NESTING))
 
-    # -- formula grammar ----------------------------------------------------
-    #
-    # equivalence := implication (("<->" | "<=>") implication)*
-    # implication := disjunction ("->" implication)?
-    # disjunction := conjunction ("|" conjunction)*
-    # conjunction := prefix ("&" prefix)*
-    # prefix      := ("~" | "not") prefix | primary
-    # primary     := "bot" | "top" | atom | "(" expr ")"
+    # -- formula grammar ---------------------------------------------------------
 
-    def formula(self, nested: bool = False) -> Formula:
+    def formula(self, i: int, nested: bool = False) -> Tuple[Formula, int]:
+        """An equivalence; a disjunction that no arrow follows when ``nested``."""
+        f, i = self.lattice(i, nested)
+        kinds = self.kinds
         if nested:
-            f = self._disjunction(nested=True)
-            self._reject_rule_operators()
-            return f
-        return self._equivalence()
+            if kinds[i] in _ARROWS:
+                raise self.error("implication nested inside rule body/head", i)
+            return f, i
+        f, i = self.implication(f, i)
+        while kinds[i] in ("<->", "<=>"):
+            op = kinds[i]
+            right, i = self.lattice(i + 1, False)
+            right, i = self.implication(right, i)
+            f = iff(f, right) if op == "<->" else strong_iff(f, right)
+        return f, i
 
-    def _reject_rule_operators(self) -> None:
-        tok = self.peek()
-        if tok.kind in ("->", "<->", "<=>"):
-            raise ParseError("implication nested inside rule body/head", tok.span)
+    def implication(self, left: Formula, i: int) -> Tuple[Formula, int]:
+        """The implication whose first disjunction ``left`` ends before token
+        ``i``; each arrow opens a level that stays open to the chain's end."""
+        kinds = self.kinds
+        if kinds[i] != "->":
+            return left, i
+        sides = [left]
+        while kinds[i] == "->":
+            self.enter(1, i)
+            f, i = self.lattice(i + 1, False)
+            sides.append(f)
+        self.depth -= len(sides) - 1
+        f = sides.pop()
+        while sides:
+            f = Impl(sides.pop(), f)
+        return f, i
 
-    def _equivalence(self) -> Formula:
-        left = self._implication()
-        while self.peek().kind in ("<->", "<=>"):
-            op = self.take()
-            right = self._implication()
-            left = iff(left, right) if op.kind == "<->" else strong_iff(left, right)
-        return left
+    def lattice(self, i: int, nested: bool) -> Tuple[Formula, int]:
+        """A disjunction of conjunctions of prefixed primaries, in one loop."""
+        kinds, lexemes, refs = self.kinds, self.lexemes, self.refs
+        disjunction = conjunction = None
+        while True:
+            start = i
+            while kinds[i] in _PREFIXES:
+                i += 1
+            prefixes = i - start
+            if prefixes:
+                self.enter(prefixes, start)
+            kind = kinds[i]
+            if kind == "atom":
+                f = refs.get(lexemes[i])
+                if f is None:
+                    f = self.atom(i)
+                i += 1
+            elif kind == "(":
+                self.enter(1, i)
+                f, i = self.formula(i + 1, nested)
+                i = self.expect(")", i)
+                self.depth -= 1
+            elif kind == "bot":
+                f, i = BOT, i + 1
+            elif kind == "top":
+                f, i = TOP, i + 1
+            else:
+                raise self.unexpected(i)
+            if prefixes:
+                for j in range(start + prefixes - 1, start - 1, -1):
+                    f = _PREFIXES[kinds[j]](f)
+                self.depth -= prefixes
+            conjunction = f if conjunction is None else And(conjunction, f)
+            kind = kinds[i]
+            if kind == "&":
+                i += 1
+                continue
+            disjunction = conjunction if disjunction is None else Or(disjunction, conjunction)
+            if kind != "|":
+                return disjunction, i
+            conjunction = None
+            i += 1
 
-    def _implication(self) -> Formula:
-        left = self._disjunction(nested=False)
-        if self.peek().kind == "->":
-            self._enter(self.take())
-            right = self._implication()
-            self.depth -= 1
-            return Impl(left, right)
-        return left
+    def atom(self, i: int) -> AtomRef:
+        """A new ``AtomRef`` for the atom at token ``i``, shared from now on."""
+        name = self.lexemes[i]
+        try:
+            ref = self.refs[name] = AtomRef(Atom(name))
+        except ValueError as exc:
+            raise ParseError(str(exc), self.tokens.span(i)) from None
+        return ref
 
-    def _disjunction(self, nested: bool) -> Formula:
-        left = self._conjunction(nested)
-        while self.peek().kind == "|":
-            self.take()
-            left = Or(left, self._conjunction(nested))
-        return left
+    # -- statements --------------------------------------------------------------
 
-    def _conjunction(self, nested: bool) -> Formula:
-        left = self._prefix(nested)
-        while self.peek().kind == "&":
-            self.take()
-            left = And(left, self._prefix(nested))
-        return left
+    def rule_statement(self, i: int) -> Tuple[Rule, int]:
+        first, i = self.lattice(i, True)
+        kind = self.kinds[i]
+        if kind in ("<->", "<=>"):
+            raise self.error("implication nested inside rule body/head", i)
+        if kind == "->":
+            head, i = self.formula(i + 1, nested=True)
+            return Rule(first, head), self.expect(".", i)
+        return Rule(TOP, first), self.expect(".", i)
 
-    def _prefix(self, nested: bool) -> Formula:
-        tok = self.peek()
-        if tok.kind not in ("~", "not"):
-            return self._primary(nested)
-        self._enter(self.take())
-        child = self._prefix(nested)
-        self.depth -= 1
-        return XNeg(child) if tok.kind == "~" else DNeg(child)
+    def theory_statement(self, i: int) -> Tuple[Formula, int]:
+        f, i = self.formula(i)
+        return f, self.expect(".", i)
 
-    def _primary(self, nested: bool) -> Formula:
-        tok = self.peek()
-        if tok.kind == "bot":
-            self.take()
-            return BOT
-        if tok.kind == "top":
-            self.take()
-            return TOP
-        if tok.kind == "atom":
-            self.take()
-            ref = self.refs.get(tok.text)
-            if ref is None:
-                try:
-                    ref = self.refs[tok.text] = AtomRef(Atom(tok.text))
-                except ValueError as exc:
-                    raise ParseError(str(exc), tok.span) from None
-            return ref
-        if tok.kind == "(":
-            self._enter(self.take())
-            inner = self.formula(nested=nested)
-            if self.peek().kind != ")":
-                bad = self.peek()
-                if nested and bad.kind in ("->", "<->", "<=>"):
-                    raise ParseError("implication nested inside rule body/head", bad.span)
-                raise ParseError(self._expected_message(")", bad), bad.span)
-            self.take(")")
-            self.depth -= 1
-            return inner
-        raise self._unexpected(tok)
+    def statements(self, statement) -> list:
+        """``statement`` parsed again and again up to the end of input."""
+        out, i = [], 0
+        while self.kinds[i] != "EOF":
+            item, i = statement(self, i)
+            out.append(item)
+        return out
 
-    # -- statements ----------------------------------------------------------
-
-    def rule_statement(self) -> Rule:
-        first = self._disjunction(nested=True)
-        tok = self.peek()
-        if tok.kind in ("<->", "<=>"):
-            raise ParseError("implication nested inside rule body/head", tok.span)
-        if tok.kind == "->":
-            self.take()
-            head = self.formula(nested=True)
-            self.take(".")
-            return Rule(first, head)
-        self.take(".")
-        return Rule(TOP, first)
-
-    def theory_statement(self) -> Formula:
-        f = self.formula()
-        self.take(".")
+    def whole_formula(self) -> Formula:
+        f, i = self.formula(0)
+        if self.kinds[i] != "EOF":
+            raise self.unexpected(i)
         return f
-
-    def at_eof(self) -> bool:
-        return self.peek().kind == "EOF"
-
-    def expect_eof(self) -> None:
-        if not self.at_eof():
-            raise self._unexpected(self.peek())
-
-
-def _whole_formula(p: _Parser) -> Formula:
-    f = p.formula()
-    p.expect_eof()
-    return f
 
 
 def parse_formula(text: str) -> Formula:
     """Parse one formula; the whole input must be consumed."""
-    return _whole_formula(_Parser(_tokenize(text)))
+    return _Parser(_tokenize(text)).whole_formula()
 
 
 def parse_lines(text: str) -> Theory:
@@ -318,24 +339,19 @@ def parse_lines(text: str) -> Theory:
     Error positions are positions in ``text``; the end of a line's formula is
     the point just after its last token.
     """
-    tokens = _tokenize(text)
+    lines = []
+    for number, line in enumerate(text.split("\n"), 1):
+        # a line up to its last token: "%" always starts a comment
+        tokens = _tokenize(line.split("%", 1)[0].rstrip(" \t\r"), number)
+        if len(tokens.kinds) > 1:
+            lines.append(tokens)
     refs: Dict[str, AtomRef] = {}
-    formulas = []
-    for _, group in itertools.groupby(tokens[:-1], key=operator.attrgetter("line")):
-        line = list(group)
-        last = line[-1]
-        line.append(_Token("EOF", "", last.line, last.column + last.length, 1))
-        formulas.append(_whole_formula(_Parser(line, refs)))
-    return Theory(formulas)
+    return Theory([_Parser(tokens, refs).whole_formula() for tokens in lines])
 
 
 def parse_theory(text: str) -> Theory:
     """Parse a sequence of ``FORMULA.`` statements into a theory."""
-    p = _Parser(_tokenize(text))
-    formulas = []
-    while not p.at_eof():
-        formulas.append(p.theory_statement())
-    return Theory(formulas)
+    return Theory(_Parser(_tokenize(text)).statements(_Parser.theory_statement))
 
 
 def parse_program(text: str) -> Program:
@@ -344,39 +360,32 @@ def parse_program(text: str) -> Program:
     Both sides of a rule must be nested expressions; an inner ``->`` is
     reported as an error at its own position.
     """
-    p = _Parser(_tokenize(text))
-    rules = []
-    while not p.at_eof():
-        rules.append(p.rule_statement())
-    return Program(rules)
+    return Program(_Parser(_tokenize(text)).statements(_Parser.rule_statement))
 
 
 def parse_interpretation(text: str) -> Interpretation:
     """Parse a literal set such as ``{~bird, flies}``; braces are optional."""
     p = _Parser(_tokenize(text))
-    braced = False
-    if p.peek().kind == "{":
-        p.take()
-        braced = True
+    kinds = p.kinds
+    braced = kinds[0] == "{"
+    i = 1 if braced else 0
     literals = []
-    while p.peek().kind in ("~", "atom") or (p.peek().kind in _KEYWORDS):
-        negated = False
-        if p.peek().kind == "~":
-            p.take()
-            negated = True
-        tok = p.peek()
-        if tok.kind != "atom":
-            raise ParseError(f"reserved word used as atom: {tok.text!r}", tok.span)
-        p.take()
+    while kinds[i] in ("~", "atom") or kinds[i] in _KEYWORDS:
+        negated = kinds[i] == "~"
+        if negated:
+            i += 1
+        if kinds[i] != "atom":
+            raise p.error(f"reserved word used as atom: {p.tokens.text_of(i)!r}", i)
         try:
-            literals.append(ExplicitLiteral(Atom(tok.text), negated))
+            literals.append(ExplicitLiteral(Atom(p.lexemes[i]), negated))
         except ValueError as exc:
-            raise ParseError(str(exc), tok.span) from None
-        if p.peek().kind == ",":
-            p.take()
-            continue
-        break
+            raise ParseError(str(exc), p.tokens.span(i)) from None
+        i += 1
+        if kinds[i] != ",":
+            break
+        i += 1
     if braced:
-        p.take("}")
-    p.expect_eof()
+        i = p.expect("}", i)
+    if kinds[i] != "EOF":
+        raise p.unexpected(i)
     return Interpretation(literals)

@@ -24,7 +24,7 @@ points in the mask that nothing was folded onto.  The three engines that
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .core import (
     And,
@@ -83,6 +83,10 @@ class NotExplicit(ValueError):
 # ---------------------------------------------------------------------------
 # Relations in mask form, point by point over a chunk
 
+# the Ferraris masks of one formula: f+ satisfied, f- falsified, f satisfied
+# and f falsified at (t, t)
+Masks = Tuple[int, int, int, int]
+
 
 def _nested_masks(chunk: Chunk, f: Formula, at_there: bool = False) -> Tuple[int, int]:
     """The points (h, t) where h satisfies and where h falsifies the reduct
@@ -114,10 +118,20 @@ def _nested_masks(chunk: Chunk, f: Formula, at_there: bool = False) -> Tuple[int
     raise NotNested(f"the reduct is only defined on nested expressions: {f!r}")
 
 
-def _ferraris_masks(chunk: Chunk, f: Formula) -> Tuple[int, int, int, int]:
+def _ferraris_masks(chunk: Chunk, f: Formula,
+                    memo: Dict[int, Masks]) -> Masks:
     """The points (h, t) where h satisfies ``f+`` and where h falsifies
     ``f-``, the Ferraris reducts with respect to t, followed by the points
-    where (t, t) satisfies and where it falsifies ``f``."""
+    where (t, t) satisfies and where it falsifies ``f``.  ``memo`` holds the
+    masks of the nodes folded so far in ``chunk``, by id, so a node shared
+    inside a theory, as the operands of ``<->`` are, is folded once."""
+    hit = memo.get(id(f))
+    if hit is None:
+        hit = memo[id(f)] = _ferraris_fold(chunk, f, memo)
+    return hit
+
+
+def _ferraris_fold(chunk: Chunk, f: Formula, memo: Dict[int, Masks]) -> Masks:
     full = chunk.full
     if isinstance(f, Top):
         plus, minus, sat, fals = full, 0, full, 0
@@ -127,14 +141,14 @@ def _ferraris_masks(chunk: Chunk, f: Formula) -> Tuple[int, int, int, int]:
         ge = chunk.atom_levels[f.atom]
         plus, minus, sat, fals = ge[3], full ^ ge[0], ge[2], full ^ ge[1]
     elif isinstance(f, XNeg):
-        p, m, s, x = _ferraris_masks(chunk, f.child)
+        p, m, s, x = _ferraris_masks(chunk, f.child, memo)
         plus, minus, sat, fals = m, p, x, s
     elif isinstance(f, DNeg):
-        p, _, s, _ = _ferraris_masks(chunk, f.child)
+        p, _, s, _ = _ferraris_masks(chunk, f.child, memo)
         plus, minus, sat, fals = full ^ p, full, full ^ s, s
     elif isinstance(f, (And, Or, Impl)):
-        pa, ma, sa, xa = _ferraris_masks(chunk, f.left)
-        pb, mb, sb, xb = _ferraris_masks(chunk, f.right)
+        pa, ma, sa, xa = _ferraris_masks(chunk, f.left, memo)
+        pb, mb, sb, xb = _ferraris_masks(chunk, f.right, memo)
         if isinstance(f, And):
             plus, minus, sat, fals = pa & pb, ma | mb, sa & sb, xa | xb
         elif isinstance(f, Or):
@@ -192,5 +206,9 @@ def equilibrium_models_ferraris(gamma: Union[Theory, Program],
                                 opts: Optional[SolveOptions] = None) -> List[Interpretation]:
     """Equilibrium models computed as minimal models of the positive reduct."""
     theory = _theory(gamma)
-    return _minimal(opts, gamma, lambda chunk: chunk.all(
-        _ferraris_masks(chunk, f)[0] for f in theory))
+
+    def relation(chunk: Chunk) -> int:
+        memo: Dict[int, Masks] = {}
+        return chunk.all(_ferraris_masks(chunk, f, memo)[0] for f in theory)
+
+    return _minimal(opts, gamma, relation)

@@ -43,7 +43,6 @@ from .core import (
     Rule,
     Top,
     XNeg,
-    _operands,
     as_explicit_literal,
     atom,
     atoms,
@@ -348,17 +347,23 @@ def _nnf_rules(mode: EvalMode) -> _Table:
 
 
 def _nnf(f: Formula, rules: _Table, trace: Optional[list], path: str) -> Formula:
+    """``f`` in negation normal form; ``path`` is its position in the input,
+    such as ``0.1.``, which the trace names and which is built only when a
+    trace is being recorded."""
     hit = rules.first_match(f)
     if hit is not None:
         rule, binding = hit
-        _note(trace, rule.name, path.rstrip(".") or "root")
+        if trace is not None:
+            trace.append(f"{rule.name} @ {path.rstrip('.') or 'root'}")
         return _nnf(_instantiate(rule.rhs, binding), rules, trace, path)
     if isinstance(f, (And, Or, Impl)):
-        left = _nnf(f.left, rules, trace, path + "0.")
-        right = _nnf(f.right, rules, trace, path + "1.")
+        traced = trace is not None
+        left = _nnf(f.left, rules, trace, path + "0." if traced else path)
+        right = _nnf(f.right, rules, trace, path + "1." if traced else path)
         return f if left is f.left and right is f.right else type(f)(left, right)
     if isinstance(f, (XNeg, DNeg)):
-        child = _nnf(f.child, rules, trace, path + "0.")
+        traced = trace is not None
+        child = _nnf(f.child, rules, trace, path + "0." if traced else path)
         return f if child is f.child else type(f)(child)
     return f
 
@@ -581,8 +586,8 @@ def export_asp(p: Program) -> str:
     head renders as a constraint.  Doubled default negation in bodies (from
     ``eliminate_head_dneg``) prints as ``not not``.
     """
-    heads: Dict[Formula, str] = {}  # each distinct head and body rendered once
-    bodies: Dict[Formula, str] = {}
+    heads: Dict[int, str] = {}  # the text of each head and body chain by id
+    bodies: Dict[int, str] = {}
     lines = []
     for i, r in enumerate(p):
         if isinstance(r.body, Top) and isinstance(r.head, Bot):
@@ -596,14 +601,24 @@ def export_asp(p: Program) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _render(f: Formula, rendered: Dict[Formula, str], join: type, sep: str,
+def _render(f: Formula, rendered: Dict[int, str], join: type, sep: str,
             rule_index: int, allow_double: bool = False) -> str:
-    """The literals of the ``join`` chain ``f`` joined by ``sep``, looked up in
-    or added to ``rendered``."""
-    text = rendered.get(f)
+    """The literals of the ``join`` chain ``f`` joined by ``sep``.  ``rendered``
+    holds the text of every chain rendered so far in one export, by id, so a
+    chain that extends a rendered one costs one concatenation per new item."""
+    spine = []  # the chain's left spine down to a rendered chain or a literal
+    while isinstance(f, join) and id(f) not in rendered:
+        spine.append(f)
+        f = f.left
+    text = rendered.get(id(f))
     if text is None:
-        text = rendered[f] = sep.join(_render_literal(x, rule_index, allow_double)
-                                      for x in _operands(f, join))
+        text = _render_literal(f, rule_index, allow_double)
+    for chain in reversed(spine):
+        right = chain.right
+        right_text = (_render(right, rendered, join, sep, rule_index, allow_double)
+                      if isinstance(right, join) else
+                      _render_literal(right, rule_index, allow_double))
+        text = rendered[id(chain)] = text + sep + right_text
     return text
 
 

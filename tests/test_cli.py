@@ -102,7 +102,7 @@ class TestSolve:
             tokens = _tokenize(text)
         except ParseError:
             return
-        assert _has_statements(text) == any(tok.kind == "." for tok in tokens)
+        assert _has_statements(text) == ("." in tokens.kinds)
 
     def test_signature_guard_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "ex1.x5", EXAMPLE1)
@@ -300,17 +300,7 @@ class TestSharedSubformulas:
         from eqlx import core, parse_formula, semantics
 
         text = _chain("<->", 12)
-        f = parse_formula(text)
-        edges, tree, seen = 0, 0, set()
-        stack = [f]
-        while stack:  # edges between distinct nodes, and nodes of the unfolded tree
-            g = stack.pop()
-            tree += 1
-            children = [getattr(g, n) for n in ("left", "right", "child") if hasattr(g, n)]
-            if id(g) not in seen:
-                seen.add(id(g))
-                edges += len(children)
-            stack += children
+        edges, tree = self._distinct_edges(parse_formula(text))
         assert tree > 8000
 
         calls = {"_collect_atoms": 0, "_val": 0}
@@ -328,6 +318,97 @@ class TestSharedSubformulas:
         # two walks each: one to decide and one to report; a walk calls once
         # for the root and once per edge
         assert calls == {"_collect_atoms": 2 * (1 + edges), "_val": 2 * (1 + edges)}
+
+    # (length, first 16 hex digits of the SHA-256) of the text of `valid --json`
+    # and of canonical_print, for 1 to 8 arrows, as the unmemoized printer
+    # produced them
+    PRINTED = {
+        "<->": [((147, "bd652fa508946474"), (19, "85e20f40ca9b6e20")),
+                ((269, "b6b6572f44df8794"), (55, "fec9a6eba6eb3207")),
+                ((255, "0a3b3a68efc86bfa"), (127, "eb6d313e55e024f0")),
+                ((485, "075795cace485f6a"), (271, "623302077afacd2f")),
+                ((687, "e4ad9c35f3085904"), (559, "d983ff0fdac2fe92")),
+                ((1349, "540ac56e4e88a575"), (1135, "08b771b810e6f39c")),
+                ((2415, "20e56acd5b65678b"), (2287, "3dd3a646f42070e7")),
+                ((4805, "e7711f05672259d0"), (4591, "ae343e7bb16aa014"))],
+        "<=>": [((175, "2f2da4ff36f6a93e"), (47, "e79a54fd84a55412")),
+                ((449, "4f0cd1864ff2bb93"), (235, "977b4fceabd25bf9")),
+                ((1218, "f1fd174a1290eb63"), (987, "e989a1999f8eb846")),
+                ((4209, "af60b1f284516003"), (3995, "618c8ffb36b71cf6")),
+                ((16155, "272b748741510ea9"), (16027, "ca4632e539679882")),
+                ((64369, "d9cb519af797a776"), (64155, "67e10f5ab2ee9e3f")),
+                ((256898, "f0fba156e85d56a3"), (256667, "8226f4b8e18de585")),
+                ((1026929, "22fea0b3b020b273"), (1026715, "dc95bcd892a8a59e"))],
+    }
+
+    @pytest.mark.parametrize("op", sorted(PRINTED))
+    @pytest.mark.parametrize("arrows", range(1, 9))
+    def test_printed_chains_keep_their_text(self, capsys, op, arrows):
+        import hashlib
+
+        from eqlx import canonical_print, parse_formula
+
+        def pin(text):
+            return len(text), hashlib.sha256(text.encode()).hexdigest()[:16]
+
+        text = _chain(op, arrows)
+        _, out, err = run(capsys, "valid", "--json", text)
+        assert err == ""
+        assert (pin(out), pin(canonical_print(parse_formula(text)))) == \
+            self.PRINTED[op][arrows - 1]
+
+    @staticmethod
+    def _distinct_edges(f):
+        """The edges between the distinct nodes of ``f``, and the size of
+        the tree it unfolds into."""
+        edges, tree, seen = 0, 0, set()
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            tree += 1
+            children = [getattr(g, n) for n in ("left", "right", "child") if hasattr(g, n)]
+            if id(g) not in seen:
+                seen.add(id(g))
+                edges += len(children)
+            stack += children
+        return edges, tree
+
+    def _count_calls(self, monkeypatch, module, name):
+        calls = [0]
+        original = getattr(module, name)
+
+        def counting(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_printing_visits_each_shared_node_once(self, capsys, monkeypatch):
+        from eqlx import core, parse_formula
+
+        text = _chain("<->", 12)
+        edges, tree = self._distinct_edges(parse_formula(text))
+        assert tree > 8000
+        calls = self._count_calls(monkeypatch, core, "_print_formula")
+        code, out, _ = run(capsys, "valid", "--json", text)
+        # iff(a, p) holds a twice and p twice, so k arrows print 3 * 2^k - 2 atoms
+        assert code == 1 and json.loads(out)["result"]["formula"].count("p") == 3 * 2 ** 12 - 2
+        # once for the root and once per edge
+        assert calls == [1 + edges]
+
+    def test_solving_a_theory_folds_each_shared_node_once(self, tmp_path, capsys,
+                                                         monkeypatch):
+        from eqlx import parse_formula, solver
+
+        text = _chain("<->", 12)
+        edges, tree = self._distinct_edges(parse_formula(text))
+        assert tree > 8000
+        calls = self._count_calls(monkeypatch, solver, "_ferraris_masks")
+        assert run(capsys, "solve", write(tmp_path, "chain.x5", text + ".\n")) == \
+            (0, "{p}\n", "")
+        # one chunk, one fold: once for the root and once per edge
+        assert calls == [1 + edges]
 
 
 class TestContext:

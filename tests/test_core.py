@@ -1,4 +1,6 @@
+import copy as copy_module
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given
@@ -30,6 +32,7 @@ from eqlx import (
     atoms,
     canonical_print,
     enumerate_x5,
+    iff,
     is_explicit,
     is_nested,
     is_regular,
@@ -251,6 +254,41 @@ class TestCanonicalPrint:
         assert canonical_print(Rule(TOP, bird)) == "bird."
         assert canonical_print(Rule(DNeg(p), q)) == "not p -> q."
 
+    @given(formulas, formulas)
+    def test_matches_the_unmemoized_printer(self, phi, psi):
+        # iff shares its operands, and the theory shares whole formulas
+        f = iff(phi, And(psi, phi))
+        assert canonical_print(f) == _reference_print(f)
+        theory = Theory([phi, f, XNeg(f), psi])
+        assert canonical_print(theory) == "".join(_reference_print(g) + ".\n" for g in theory)
+
+
+def _reference_print(f):
+    """The recursive printer that the memoized one replaced: no memo, one
+    call per node of the unfolded tree."""
+    def prec(g):
+        for kind, value in ((Impl, 1), (Or, 2), (And, 3), ((XNeg, DNeg), 4)):
+            if isinstance(g, kind):
+                return value
+        return 5
+
+    def wrap(g, parent, right_of_same=False):
+        text = _reference_print(g)
+        return "(" + text + ")" if prec(g) < parent or right_of_same else text
+
+    if isinstance(f, (Bot, Top)):
+        return "bot" if isinstance(f, Bot) else "top"
+    if isinstance(f, AtomRef):
+        return f.atom.name
+    if isinstance(f, XNeg):
+        return "~" + (" " if isinstance(f.child, (XNeg, DNeg)) else "") + wrap(f.child, 4)
+    if isinstance(f, DNeg):
+        return "not " + wrap(f.child, 4)
+    if isinstance(f, (And, Or)):
+        op, level = (" & ", 3) if isinstance(f, And) else (" | ", 2)
+        return wrap(f.left, level) + op + wrap(f.right, level, type(f.right) is type(f))
+    return wrap(f.left, 1, isinstance(f.left, Impl)) + " -> " + _reference_print(f.right)
+
 
 class _HashOf:
     """Stands in for a subformula inside a tuple: a tuple's hash reads only
@@ -308,6 +346,12 @@ class TestHashCache:
         assert copy is not phi
         assert copy == phi and hash(copy) == hash(phi)
         assert len({phi, copy}) == 1
+
+    @given(formulas)
+    def test_pickled_and_copied_nodes_fill_their_slots(self, phi):
+        for copy in (pickle.loads(pickle.dumps(phi)), copy_module.deepcopy(phi)):
+            assert copy == phi and hash(copy) == hash(phi)
+            assert is_nested(copy) is is_nested(phi)
 
     def test_cached_value_is_not_a_field(self):
         f = And(p, DNeg(q))
@@ -388,3 +432,11 @@ class TestNestedCache:
             with pytest.raises(NotNested, match="rule body must be a nested expression"):
                 Rule(side, p)
         assert Rule(p, Or(p, q)).head == Or(p, q)
+
+    def test_a_deep_chain_is_checked_without_recursion(self):
+        # the slot is filled at construction, so reading it walks nothing
+        chain = parse_formula(" & ".join(["p"] * 20000))
+        assert is_nested(chain)
+        assert Rule(chain, p).body is chain
+        with pytest.raises(NotNested, match="rule head must be a nested expression: p -> q"):
+            Rule(chain, Impl(p, q))

@@ -1,5 +1,6 @@
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import formulas, lexer_texts, programs
 from eqlx import (
@@ -27,6 +28,8 @@ from eqlx import (
     parse_theory,
     strong_iff,
 )
+import eqlx.parser
+import reference_parser
 from eqlx.parser import _tokenize, parse_lines
 
 p, q, r = atom("p"), atom("q"), atom("r")
@@ -164,9 +167,9 @@ class TestLexer:
     @given(lexer_texts)
     def test_matches_the_character_lexer(self, text):
         new = _lex(_tokenize, text)
-        if isinstance(new, list):
-            new = [(t.kind, t.text, (t.span.line, t.span.column, t.span.length))
-                   for t in new]
+        if not isinstance(new, tuple):  # the tokens, not an error
+            new = [(kind, new.text_of(i), (span.line, span.column, span.length))
+                   for i, kind in enumerate(new.kinds) for span in [new.span(i)]]
         assert new == _lex(_old_tokenize, text)
 
     @pytest.mark.parametrize("text, char, column", [
@@ -238,10 +241,11 @@ class TestSharedAtoms:
         assert err.value.span == span
 
     def test_tokens_build_their_span_on_demand(self):
-        eof = _tokenize("p ->\n  q")[-1]
-        assert (eof.kind, eof.text) == ("EOF", "")
-        assert eof.span == SourceSpan(2, 4, 1)
-        assert not hasattr(eof, "__dict__")
+        tokens = _tokenize("p ->\n  q")
+        eof = len(tokens.kinds) - 1
+        assert (tokens.kinds[eof], tokens.text_of(eof)) == ("EOF", "")
+        assert tokens.span(eof) == SourceSpan(2, 4, 1)
+        assert not hasattr(tokens, "__dict__")
 
 
 class TestNestingBound:
@@ -347,3 +351,119 @@ class TestInterpretationGrammar:
     def test_reserved_word_rejected(self):
         with pytest.raises(ParseError, match="reserved word used as atom"):
             parse_interpretation("{not}")
+
+
+# ---------------------------------------------------------------------------
+# The flat parser against the recursive one it replaced
+
+
+# text spliced into a valid text: stray characters, words that start with a
+# digit, Unicode aliases, comments and newlines
+_MUTATIONS = ["@", "2", "²", "½", "é", "Q", "_", "(", ")", "{", "}", ",", ".", "~", "!",
+              "&", "|", "-", "<", ">", "=", "->", "<->", "<=>", "not ", "bot", "top",
+              "\n", "% c\n", "%", " ", "\t", "\r", "¬", "∧", "∨", "→", "⊤", "⊥", "∼",
+              "↔", "⇔", "⟺"]
+_ALIASES = [(" & ", " ∧ "), (" | ", " ∨ "), (" -> ", " → "), ("not ", "¬"), ("~", "∼"),
+            ("top", "⊤"), ("bot", "⊥"), (" ", "\n"), (" ", " % c\n"), ("not ", "!")]
+
+
+@st.composite
+def _variants(draw, texts):
+    """A valid text, respelled with aliases, comments and newlines, then
+    perhaps cut or extended by one character or lexeme."""
+    text = draw(texts)
+    for old, new in draw(st.lists(st.sampled_from(_ALIASES), max_size=3)):
+        text = text.replace(old, new, draw(st.integers(-1, 3)))
+    how = draw(st.sampled_from(["keep", "delete", "insert", "digit"]))
+    i = draw(st.integers(0, len(text)))
+    if how == "delete" and text:
+        i = min(i, len(text) - 1)
+        text = text[:i] + text[i + 1:]
+    elif how == "insert":
+        text = text[:i] + draw(st.sampled_from(_MUTATIONS)) + text[i:]
+    elif how == "digit":
+        text = draw(st.sampled_from(["0", "7", "²"])) + text
+    return text
+
+
+def _outcome(parse, text):
+    """The parsed value (a list for a theory or a program, whose equality
+    ignores order), or the error's type, text and span."""
+    try:
+        parsed = parse(text)
+    except ValueError as exc:  # ParseError, or InconsistentLiterals for a literal set
+        return type(exc).__name__, str(exc), getattr(exc, "span", None)
+    return list(parsed) if isinstance(parsed, (Theory, Program)) else parsed
+
+
+_formula_texts = formulas.map(canonical_print)
+_statement_texts = st.lists(formulas, max_size=4).map(
+    lambda fs: "".join(canonical_print(f) + ".\n" for f in fs))
+_literal_texts = st.lists(st.tuples(st.sampled_from(["p", "q", "bird", "not", "Q"]),
+                                    st.booleans()), max_size=4).map(
+    lambda lits: "{" + ", ".join(("~" if neg else "") + name for name, neg in lits) + "}")
+
+_PARSERS = ["parse_formula", "parse_theory", "parse_program", "parse_lines",
+            "parse_interpretation"]
+
+
+def _same_outcome(name, text):
+    assert _outcome(getattr(eqlx.parser, name), text) == \
+        _outcome(getattr(reference_parser, name), text)
+
+
+class TestMatchesTheReferenceParser:
+    @settings(max_examples=400)
+    @given(_variants(_formula_texts), st.sampled_from(_PARSERS))
+    def test_formula_texts(self, text, name):
+        _same_outcome(name, text)
+
+    @settings(max_examples=400)
+    @given(_variants(st.one_of(_statement_texts, programs.map(canonical_print))),
+           st.sampled_from(_PARSERS))
+    def test_statement_texts(self, text, name):
+        _same_outcome(name, text)
+
+    @settings(max_examples=200)
+    @given(_variants(st.lists(_formula_texts, max_size=4).map("\n".join)))
+    @example("p\r\nq & \t\r\n")  # a line's end of input is before its trailing "\r"
+    @example("p % q.\n  q -> % r\n")
+    def test_line_texts(self, text):
+        _same_outcome("parse_lines", text)
+
+    @settings(max_examples=200)
+    @given(_variants(_literal_texts))
+    def test_literal_sets(self, text):
+        _same_outcome("parse_interpretation", text)
+
+    @settings(max_examples=300)
+    @given(lexer_texts, st.sampled_from(_PARSERS))
+    def test_lexer_texts(self, text, name):
+        _same_outcome(name, text)
+
+    @pytest.mark.parametrize("levels", [100, 101])
+    @pytest.mark.parametrize("make", [
+        lambda n: "(" * n + "p" + ")" * n,
+        lambda n: "~" * n + "p",
+        lambda n: "not " * n + "p",
+        lambda n: "! ~ " * (n // 2) + "~" * (n % 2) + "p",
+        lambda n: "p -> " * n + "p",
+        lambda n: "(~" * (n // 2) + "(" * (n % 2) + "p" + ")" * (n // 2 + n % 2),
+        lambda n: "(" * (n // 2) + "p -> " * (n - n // 2) + "q" + ")" * (n // 2),
+        lambda n: "q & (" * n + "p" + ")" * n + " | r",
+    ], ids=["parens", "tildes", "nots", "mixed_prefixes", "arrows", "paren_prefix",
+            "paren_arrow", "in_a_chain"])
+    @pytest.mark.parametrize("name", ["parse_formula", "parse_theory", "parse_program",
+                                      "parse_lines"])
+    def test_the_nesting_bound(self, levels, make, name):
+        text = make(levels) + ("." if name in ("parse_theory", "parse_program") else "")
+        _same_outcome(name, text)
+        if name != "parse_program" or "->" not in text:  # a rule may hold one arrow
+            outcome = _outcome(getattr(reference_parser, name), text)
+            too_deep = isinstance(outcome, tuple) and "nesting too deep" in outcome[1]
+            assert too_deep is (levels == 101)
+
+    @pytest.mark.parametrize("text", ["{~bird, ~}", "{bird flies}", "{~not}", "{p, ~p}",
+                                      "~bird, flies", "{p,}", "{", "{Q}", "{é}", "{¬p}"])
+    def test_literal_set_examples(self, text):
+        _same_outcome("parse_interpretation", text)

@@ -13,6 +13,7 @@ from eqlx import (
     And,
     Atom,
     AtomRef,
+    DNeg,
     ExplicitLiteral,
     Interpretation,
     NotExplicit,
@@ -32,6 +33,7 @@ from eqlx import (
     enumerate_x5,
     equilibrium_models,
     equilibrium_models_ferraris,
+    iff,
     minimal_models_explicit,
     parse_formula,
     parse_interpretation,
@@ -393,7 +395,7 @@ class TestMaskRelations:
     @example(every_connective)
     @settings(max_examples=150)
     def test_ferraris_reducts(self, f):
-        _pointwise(f, _ferraris_masks, lambda h, t: [
+        _pointwise(f, lambda chunk, g: _ferraris_masks(chunk, g, {}), lambda h, t: [
             _sat(h, h, ferraris_plus(f, Interpretation(t))),
             _fals(h, h, ferraris_minus(f, Interpretation(t))),
             _sat(t, t, f), _fals(t, t, f)])
@@ -403,3 +405,58 @@ class TestMaskRelations:
     @settings(max_examples=150)
     def test_here_and_there(self, f):
         _pointwise(f, lambda chunk, g: [chunk.designated(g)], lambda h, t: [_sat(h, t, f)])
+
+
+# ---------------------------------------------------------------------------
+# The Ferraris fold with its per-chunk memo against the fold without one
+
+
+def _unmemoized_ferraris_masks(chunk, f):
+    """``solver._ferraris_masks`` as it was without the memo: one call per
+    node of the unfolded tree, so a shared subformula is folded again."""
+    full = chunk.full
+    if f == TOP:
+        plus, minus, sat, fals = full, 0, full, 0
+    elif f == BOT:
+        plus, minus, sat, fals = 0, full, 0, full
+    elif isinstance(f, AtomRef):
+        ge = chunk.atom_levels[f.atom]
+        plus, minus, sat, fals = ge[3], full ^ ge[0], ge[2], full ^ ge[1]
+    elif isinstance(f, XNeg):
+        p, m, s, x = _unmemoized_ferraris_masks(chunk, f.child)
+        plus, minus, sat, fals = m, p, x, s
+    elif isinstance(f, DNeg):
+        p, _, s, _ = _unmemoized_ferraris_masks(chunk, f.child)
+        plus, minus, sat, fals = full ^ p, full, full ^ s, s
+    else:
+        pa, ma, sa, xa = _unmemoized_ferraris_masks(chunk, f.left)
+        pb, mb, sb, xb = _unmemoized_ferraris_masks(chunk, f.right)
+        if isinstance(f, And):
+            plus, minus, sat, fals = pa & pb, ma | mb, sa & sb, xa | xb
+        elif isinstance(f, Or):
+            plus, minus, sat, fals = pa | pb, ma & mb, sa | sb, xa & xb
+        else:
+            plus, minus, sat, fals = (full ^ pa) | pb, mb, (full ^ sa) | sb, sa & xb
+    return plus & sat, minus & fals, sat, fals
+
+
+pool_formulas = formula_strategy(atom_pool=POOL)
+# iff shares both operands, so the memo is hit inside a formula and across them
+shared_theories = st.builds(Theory, st.lists(
+    st.one_of(pool_formulas, st.builds(iff, pool_formulas, pool_formulas)), max_size=3))
+
+
+class TestMemoizedFerrarisFold:
+    @given(shared_theories, solve_options)
+    @example(Theory([iff(iff(atom("p"), atom("q")), atom("p"))]), SolveOptions())
+    @settings(max_examples=150)
+    def test_matches_the_unmemoized_fold(self, theory, opts):
+        space = opts.space(theory)
+        for chunk in truthtable.chunks(space):
+            memo = {}
+            assert [_ferraris_masks(chunk, f, memo) for f in theory] == \
+                [_unmemoized_ferraris_masks(chunk, f) for f in theory]
+        expected = truthtable.minimal_totals(space, lambda chunk: chunk.all(
+            _unmemoized_ferraris_masks(chunk, f)[0] for f in theory))
+        assert across_chunk_widths(lambda: equilibrium_models_ferraris(theory, opts)) == \
+            [expected] * 3
