@@ -17,7 +17,8 @@ pair becomes a rule.  Each alternative is split once, into the items it keeps
 joined in one ``&``/``|`` chain and the ``not not`` items it shifts across,
 so a pair only extends the two shared chains by the few shifted items; the
 cost is linear in the rules produced.  :func:`export_asp` and
-``canonical_print`` render each distinct shared side once.
+``canonical_print`` render each distinct node once, by id, so a rule side
+that extends a shared chain by one item costs one concatenation.
 """
 
 from __future__ import annotations
@@ -350,19 +351,18 @@ def _nnf(f: Formula, rules: _Table, trace: Optional[list], path: str) -> Formula
     """``f`` in negation normal form; ``path`` is its position in the input,
     such as ``0.1.``, which the trace names and which is built only when a
     trace is being recorded."""
+    traced = trace is not None
     hit = rules.first_match(f)
     if hit is not None:
         rule, binding = hit
-        if trace is not None:
+        if traced:
             trace.append(f"{rule.name} @ {path.rstrip('.') or 'root'}")
         return _nnf(_instantiate(rule.rhs, binding), rules, trace, path)
     if isinstance(f, (And, Or, Impl)):
-        traced = trace is not None
         left = _nnf(f.left, rules, trace, path + "0." if traced else path)
         right = _nnf(f.right, rules, trace, path + "1." if traced else path)
         return f if left is f.left and right is f.right else type(f)(left, right)
     if isinstance(f, (XNeg, DNeg)):
-        traced = trace is not None
         child = _nnf(f.child, rules, trace, path + "0." if traced else path)
         return f if child is f.child else type(f)(child)
     return f
