@@ -156,14 +156,13 @@ def _emit(args, result, witness=None, engine_agreement=None,
             "engine_agreement": engine_agreement,
         }
         print(json.dumps(envelope, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    elif text_lines:
+        sys.stdout.write("\n".join(text_lines) + "\n")
 
 
 def _print_trace(trace: Optional[List[str]]) -> None:
-    for entry in trace or ():
-        print(entry, file=sys.stderr)
+    if trace:
+        sys.stderr.write("\n".join(trace) + "\n")
 
 
 # ---------------------------------------------------------------------------

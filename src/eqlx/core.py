@@ -289,6 +289,10 @@ class Impl(Formula):
 BOT = Bot()
 TOP = Top()
 
+# the connectives by arity, for walks that dispatch on a node's exact type
+_BINARY = frozenset({And, Or, Impl})
+_UNARY = frozenset({XNeg, DNeg})
+
 
 def atom(name: str) -> AtomRef:
     """Shorthand for ``AtomRef(Atom(name))``."""
@@ -307,22 +311,39 @@ def strong_iff(a: Formula, b: Formula) -> Formula:
 
 @_frozen
 class Rule:
-    """Implication ``body -> head`` between nested expressions."""
+    """Implication ``body -> head`` between nested expressions.
+
+    The constructor stores the two sides through their slots and reads each
+    side's ``_nested`` slot; only a side that is not a nested expression, or
+    not a formula, takes the slower path that names it."""
 
     body: Formula
     head: Formula
-
-    def __post_init__(self) -> None:
-        for side, name in ((self.body, "body"), (self.head, "head")):
-            if not is_nested(side):
-                raise NotNested(f"rule {name} must be a nested expression: "
-                                f"{canonical_print(side)}")
 
     def as_implication(self) -> Impl:
         return Impl(self.body, self.head)
 
     def __repr__(self) -> str:
         return canonical_print(self)
+
+
+def _rule_constructor(set_body, set_head):
+    def __init__(self, body, head):
+        set_body(self, body)
+        set_head(self, head)
+        try:
+            if body._nested and head._nested:
+                return
+        except AttributeError:  # not a formula, which is_nested lets through
+            pass
+        for side, name in ((body, "body"), (head, "head")):
+            if not is_nested(side):
+                raise NotNested(f"rule {name} must be a nested expression: "
+                                f"{canonical_print(side)}")
+    return __init__
+
+
+Rule.__init__ = _rule_constructor(Rule.body.__set__, Rule.head.__set__)
 
 
 class _Collection:
@@ -509,41 +530,43 @@ class FiveValue(IntEnum):
 
 
 def atoms(x: Union[Formula, Rule, Program, Theory, Interpretation]) -> set:
-    """Set of atoms occurring anywhere in ``x``, including under negations."""
-    found: set = set()
-    _collect_atoms(x, found, set())
-    return found
+    """Set of atoms occurring anywhere in ``x``, including under negations.
 
-
-def _collect_atoms(x, found: set, seen: set) -> None:
-    # ``seen`` holds the ids of the nodes already visited, so a node shared
-    # inside ``x``, as in ``iff(alpha, beta)``, is visited once; ``x``
-    # outlives the call, so those ids stay unique
-    if id(x) in seen:
-        return
-    seen.add(id(x))
-    if isinstance(x, AtomRef):
-        found.add(x.atom)
-    elif isinstance(x, (XNeg, DNeg)):
-        _collect_atoms(x.child, found, seen)
-    elif isinstance(x, (And, Or, Impl)):
-        _collect_atoms(x.left, found, seen)
-        _collect_atoms(x.right, found, seen)
-    elif isinstance(x, (Bot, Top)):
-        pass
+    One loop over an explicit stack visits each distinct node of ``x`` once,
+    by id, and never recurses: a node shared inside ``x``, as in
+    ``iff(alpha, beta)``, or between its rules costs one lookup, and a chain
+    of any length is walked in constant stack depth.  ``x`` outlives the
+    call, so the ids stay unique."""
+    if isinstance(x, Formula):
+        stack = [x]
     elif isinstance(x, Rule):
-        _collect_atoms(x.body, found, seen)
-        _collect_atoms(x.head, found, seen)
+        stack = [x.body, x.head]
     elif isinstance(x, Program):
-        for r in x:
-            _collect_atoms(r, found, seen)
+        stack = [side for r in x for side in (r.body, r.head)]
     elif isinstance(x, Theory):
-        for f in x:
-            _collect_atoms(f, found, seen)
+        stack = list(x)
     elif isinstance(x, Interpretation):
-        found.update(l.atom for l in x.literals)
+        return {l.atom for l in x.literals}
     else:
         raise TypeError(f"cannot collect atoms from {type(x).__name__}")
+    found: set = set()
+    seen: set = set()
+    pop, push = stack.pop, stack.append
+    while stack:
+        f = pop()
+        kind = type(f)
+        if kind is AtomRef:
+            found.add(f.atom)
+        elif id(f) not in seen:
+            seen.add(id(f))
+            if kind in _BINARY:
+                push(f.right)
+                push(f.left)
+            elif kind in _UNARY:
+                push(f.child)
+            elif kind is not Top and kind is not Bot:
+                raise TypeError(f"cannot collect atoms from {kind.__name__}")
+    return found
 
 
 def substitute(phi: Formula, p: Atom, alpha: Formula) -> Formula:
@@ -641,7 +664,12 @@ def _print_formula(f: Formula, printed: Dict[int, str]) -> str:
     operand of ``<->`` or a chain that many rules extend, is printed once.
     An operand is parenthesized when it binds less tightly than its
     connective, and so is the same connective on the right of ``&`` and
-    ``|`` and on the left of ``->``."""
+    ``|`` and on the left of ``->``.
+
+    An ``&`` or ``|`` chain is walked down its left spine in a loop, to its
+    longest prefix printed so far or to its first member, and printed back
+    up with one concatenation per member; only the right operands and the
+    other connectives recurse."""
     text = printed.get(id(f))
     if text is not None:
         return text
@@ -665,36 +693,53 @@ def _print_formula(f: Formula, printed: Dict[int, str]) -> str:
             text = "not " + text
         else:
             text = ("~ " if type(child) in (XNeg, DNeg) else "~") + text
-    else:
+    elif kind is Impl:  # right-associative
         left, right = f.left, f.right
-        left_prec, right_prec = _PREC.get(type(left), 5), _PREC.get(type(right), 5)
-        if kind is Impl:  # right-associative
-            wrap_left, wrap_right = left_prec == prec, False
-        else:
-            wrap_left, wrap_right = left_prec < prec, right_prec <= prec
-        left_text = _print_formula(left, printed)
-        if wrap_left:
-            left_text = "(" + left_text + ")"
-        right_text = _print_formula(right, printed)
-        if wrap_right:
-            right_text = "(" + right_text + ")"
-        text = left_text + _INFIX[kind] + right_text
+        text = _print_formula(left, printed)
+        if type(left) is Impl:
+            text = "(" + text + ")"
+        text += " -> " + _print_formula(right, printed)
+    else:  # & or |: the left spine in a loop
+        spine = []
+        while type(f) is kind and id(f) not in printed:
+            spine.append(f)
+            f = f.left
+        text = printed.get(id(f))
+        if text is None:
+            text = _print_formula(f, printed)
+        if _PREC.get(type(f), 5) < prec:
+            # a lower-precedence start is wrapped, printed before or not
+            text = "(" + text + ")"
+        infix = _INFIX[kind]
+        for chain in reversed(spine):
+            right = chain.right
+            right_text = printed.get(id(right))
+            if right_text is None:
+                right_text = _print_formula(right, printed)
+            if _PREC.get(type(right), 5) <= prec:
+                right_text = "(" + right_text + ")"
+            text = printed[id(chain)] = text + infix + right_text
+        return text
     printed[id(f)] = text
     return text
 
 
 def _print_rule(r: Rule, printed: Dict[int, str]) -> str:
-    head = _print_formula(r.head, printed)
+    # a side shared with an earlier rule is one lookup, no call
+    head = printed.get(id(r.head)) or _print_formula(r.head, printed)
     if isinstance(r.body, Top):
         return f"{head}."
-    return f"{_print_formula(r.body, printed)} -> {head}."
+    return f"{printed.get(id(r.body)) or _print_formula(r.body, printed)} -> {head}."
 
 
 def canonical_print(x) -> str:
     """Deterministic ASCII rendering; the parser accepts everything emitted.
 
     Each distinct node of ``x`` is printed once, by id: a node shared inside
-    a formula, or between the rules of a program, costs one lookup."""
+    a formula, or between the rules of a program, costs one lookup.  An
+    ``&``/``|`` chain is printed from its left spine in a loop, so a chain of
+    any length needs no deep recursion, and a rule side that extends a chain
+    printed before costs one concatenation per new member."""
     if isinstance(x, Formula):
         return _print_formula(x, {})
     if isinstance(x, Rule):

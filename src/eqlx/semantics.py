@@ -130,48 +130,74 @@ def x5_fals(m: X5Interpretation, phi: Formula) -> bool:
     return _fals(m.here.literals, m.there.literals, phi)
 
 
-def _sat(h: _LitSet, t: _LitSet, f: Formula) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
+# ``_sat`` and ``_fals`` share one memo per top-level call: it holds the
+# result for each compound node already evaluated, keyed by the node's id,
+# by whether it was evaluated at the pair (h, t) or at (t, t) (that is,
+# ``h is t``; ``DNeg`` and ``Impl`` switch to (t, t)), and by the relation.
+# A subformula shared inside ``f``, as in ``iff(alpha, beta)``, is thus
+# evaluated at most once per pair and relation; ``f`` outlives the call, so
+# the ids stay unique.
+
+
+def _sat(h: _LitSet, t: _LitSet, f: Formula, memo: Optional[dict] = None) -> bool:
     if isinstance(f, AtomRef):
         return ExplicitLiteral(f.atom) in h
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bot):
+        return False
+    if memo is None:
+        memo = {}
+    key = (id(f), h is t, True)
+    out = memo.get(key)
+    if out is not None:
+        return out
     if isinstance(f, And):
-        return _sat(h, t, f.left) and _sat(h, t, f.right)
-    if isinstance(f, Or):
-        return _sat(h, t, f.left) or _sat(h, t, f.right)
-    if isinstance(f, XNeg):
-        return _fals(h, t, f.child)
-    if isinstance(f, DNeg):
+        out = _sat(h, t, f.left, memo) and _sat(h, t, f.right, memo)
+    elif isinstance(f, Or):
+        out = _sat(h, t, f.left, memo) or _sat(h, t, f.right, memo)
+    elif isinstance(f, XNeg):
+        out = _fals(h, t, f.child, memo)
+    elif isinstance(f, DNeg):
         # satisfied exactly when the there world never satisfies the child
-        return not _sat(t, t, f.child)
-    if isinstance(f, Impl):
-        here_ok = (not _sat(h, t, f.left)) or _sat(h, t, f.right)
-        if h is t or h == t:
-            return here_ok
-        return here_ok and ((not _sat(t, t, f.left)) or _sat(t, t, f.right))
-    raise TypeError(f"cannot evaluate {type(f).__name__}")
+        out = not _sat(t, t, f.child, memo)
+    elif isinstance(f, Impl):
+        out = (not _sat(h, t, f.left, memo)) or _sat(h, t, f.right, memo)
+        if out and not (h is t or h == t):
+            out = (not _sat(t, t, f.left, memo)) or _sat(t, t, f.right, memo)
+    else:
+        raise TypeError(f"cannot evaluate {type(f).__name__}")
+    memo[key] = out
+    return out
 
 
-def _fals(h: _LitSet, t: _LitSet, f: Formula) -> bool:
+def _fals(h: _LitSet, t: _LitSet, f: Formula, memo: Optional[dict] = None) -> bool:
+    if isinstance(f, AtomRef):
+        return ExplicitLiteral(f.atom, negated=True) in h
     if isinstance(f, Top):
         return False
     if isinstance(f, Bot):
         return True
-    if isinstance(f, AtomRef):
-        return ExplicitLiteral(f.atom, negated=True) in h
+    if memo is None:
+        memo = {}
+    key = (id(f), h is t, False)
+    out = memo.get(key)
+    if out is not None:
+        return out
     if isinstance(f, And):
-        return _fals(h, t, f.left) or _fals(h, t, f.right)
-    if isinstance(f, Or):
-        return _fals(h, t, f.left) and _fals(h, t, f.right)
-    if isinstance(f, XNeg):
-        return _sat(h, t, f.child)
-    if isinstance(f, DNeg):
-        return _sat(t, t, f.child)
-    if isinstance(f, Impl):
-        return _sat(t, t, f.left) and _fals(h, t, f.right)
-    raise TypeError(f"cannot evaluate {type(f).__name__}")
+        out = _fals(h, t, f.left, memo) or _fals(h, t, f.right, memo)
+    elif isinstance(f, Or):
+        out = _fals(h, t, f.left, memo) and _fals(h, t, f.right, memo)
+    elif isinstance(f, XNeg):
+        out = _sat(h, t, f.child, memo)
+    elif isinstance(f, DNeg):
+        out = _sat(t, t, f.child, memo)
+    elif isinstance(f, Impl):
+        out = _sat(t, t, f.left, memo) and _fals(h, t, f.right, memo)
+    else:
+        raise TypeError(f"cannot evaluate {type(f).__name__}")
+    memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

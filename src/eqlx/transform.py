@@ -15,10 +15,15 @@ the names they trace are verified table entries too.  Distribution turns a
 rule into alternatives of its body and of its head, and every (body, head)
 pair becomes a rule.  Each alternative is split once, into the items it keeps
 joined in one ``&``/``|`` chain and the ``not not`` items it shifts across,
-so a pair only extends the two shared chains by the few shifted items; the
-cost is linear in the rules produced.  :func:`export_asp` and
-``canonical_print`` render each distinct node once, by id, so a rule side
-that extends a shared chain by one item costs one concatenation.
+deduplicated there, so a pair only tests the few shifted items for
+membership and extends the two shared chains by those it adds; a ``Rule``
+then costs two slot writes and two slot reads.  The cost per output rule is
+thus a small constant, and the whole is linear in the rules produced.
+:func:`export_asp` renders each distinct node once per call, by id: the
+text of a literal, which all the rules of a distribution share, and of
+every chain, so a rule side that extends a shared chain by one item costs
+one concatenation.  ``canonical_print`` prints ``regular``'s output the same
+way.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .core import (
     Rule,
     Top,
     XNeg,
-    as_explicit_literal,
     atom,
     atoms,
     iff,
@@ -251,10 +255,17 @@ class _Table:
         self.candidates: Dict[tuple, List[RewriteRule]] = {}
 
     def first_match(self, f: Formula) -> Optional[Tuple[RewriteRule, Binding]]:
-        """The first rule whose left-hand side matches ``f``, with its bindings."""
-        if type(f) not in self.roots:
-            return None
-        shape = _shape(f)
+        """The first rule whose left-hand side matches ``f``, with its bindings.
+
+        A walk over many nodes tests ``type(f) in roots`` first, and calls
+        this only for the nodes that may match."""
+        kind = type(f)
+        if kind is XNeg or kind is DNeg:
+            shape = (kind, type(f.child))
+        elif kind is And or kind is Or or kind is Impl:
+            shape = (kind, type(f.left), type(f.right))
+        else:
+            shape = (kind,)
         candidates = self.candidates.get(shape)
         if candidates is None:
             candidates = self.candidates[shape] = [
@@ -352,7 +363,7 @@ def _nnf(f: Formula, rules: _Table, trace: Optional[list], path: str) -> Formula
     such as ``0.1.``, which the trace names and which is built only when a
     trace is being recorded."""
     traced = trace is not None
-    hit = rules.first_match(f)
+    hit = rules.first_match(f) if type(f) in rules.roots else None
     if hit is not None:
         rule, binding = hit
         if traced:
@@ -425,8 +436,8 @@ def to_regular(p: Program, eliminate_head_dneg: bool = False,
                 if trace is not None:
                     trace += ([shift_body] * b.shifted + [shift_head] * h.shifted
                               + [elim] * (b.eliminated + h.eliminated))
-                body = _extend(b, h.across + b.last, And)
-                head = _extend(h, b.across, Or)
+                body = _extend(b, h, And)
+                head = _extend(h, b, Or)
                 if body is None and head is None:
                     falsum = True
                     continue
@@ -477,7 +488,9 @@ class _Side:
     ``kept`` are the items that stay on this side, in order and without
     repeats, and ``chain`` joins them (None when there are none).  Each rule
     appends the other side's ``across`` items, then this side's ``last``
-    ones.  ``shifted`` counts the ``not not`` items that move across and
+    ones; both are deduplicated here, in order, so a rule only tests
+    membership.  ``last`` only ever holds ``not not`` items, which are never
+    kept.  ``shifted`` counts the ``not not`` items that move across and
     ``eliminated`` the ``not`` items that leave a head; each rule notes
     them."""
 
@@ -487,7 +500,8 @@ class _Side:
                  last: List[Formula], shifted: int, eliminated: int):
         self.kept = dict.fromkeys(kept)
         self.chain = functools.reduce(join, self.kept) if self.kept else None
-        self.across, self.last = across, last
+        self.across = dict.fromkeys(across)
+        self.last = list(dict.fromkeys(last))
         self.shifted, self.eliminated = shifted, eliminated
 
 
@@ -515,13 +529,16 @@ def _split_head(disj: List[Formula], eliminate_head_dneg: bool) -> _Side:
     return _Side(kept, Or, across, [], shifted, len(moved))
 
 
-def _extend(side: _Side, extra: List[Formula], join: type) -> Optional[Formula]:
-    """``side``'s chain joined with the items of ``extra`` it does not hold yet."""
+def _extend(side: _Side, other: _Side, join: type) -> Optional[Formula]:
+    """``side``'s chain joined with the ``across`` items of ``other`` it does
+    not hold, then with its own ``last`` items that are not among those."""
     chain = side.chain
-    if extra:
-        for x in dict.fromkeys(extra):
-            if x not in side.kept:
-                chain = x if chain is None else join(chain, x)
+    for x in other.across:
+        if x not in side.kept:
+            chain = x if chain is None else join(chain, x)
+    for x in side.last:
+        if x not in other.across:
+            chain = x if chain is None else join(chain, x)
     return chain
 
 
@@ -571,7 +588,7 @@ def _fold(f: Formula, rules: _Table) -> Formula:
     elif isinstance(f, (XNeg, DNeg)):
         child = _fold(f.child, rules)
         f = f if child is f.child else type(f)(child)
-    hit = rules.first_match(f)
+    hit = rules.first_match(f) if type(f) in rules.roots else None
     return f if hit is None else _instantiate(hit[0].rhs, hit[1])
 
 
@@ -586,17 +603,21 @@ def export_asp(p: Program) -> str:
     head renders as a constraint.  Doubled default negation in bodies (from
     ``eliminate_head_dneg``) prints as ``not not``.
     """
-    heads: Dict[int, str] = {}  # the text of each head and body chain by id
+    heads: Dict[int, str] = {}  # the text of each head and body node by id
     bodies: Dict[int, str] = {}
     lines = []
     for i, r in enumerate(p):
-        if isinstance(r.body, Top) and isinstance(r.head, Bot):
-            raise NotRegular(f"rule {i} has an empty body and an empty head")
-        head_txt = "" if isinstance(r.head, Bot) else _render(r.head, heads, Or, " ; ", i)
-        if isinstance(r.body, Top):
+        body, head = r.body, r.head
+        if isinstance(head, Bot):
+            if isinstance(body, Top):
+                raise NotRegular(f"rule {i} has an empty body and an empty head")
+            head_txt = ""
+        else:  # a side shared with an earlier rule is one lookup, no call
+            head_txt = heads.get(id(head)) or _render(head, heads, Or, " ; ", i)
+        if isinstance(body, Top):
             lines.append(f"{head_txt}.")
         else:
-            body_txt = _render(r.body, bodies, And, ", ", i, allow_double=True)
+            body_txt = bodies.get(id(body)) or _render(body, bodies, And, ", ", i, True)
             lines.append(f"{head_txt} :- {body_txt}." if head_txt else f":- {body_txt}.")
     return "".join(line + "\n" for line in lines)
 
@@ -604,43 +625,42 @@ def export_asp(p: Program) -> str:
 def _render(f: Formula, rendered: Dict[int, str], join: type, sep: str,
             rule_index: int, allow_double: bool = False) -> str:
     """The literals of the ``join`` chain ``f`` joined by ``sep``.  ``rendered``
-    holds the text of every chain rendered so far in one export, by id, so a
-    chain that extends a rendered one costs one concatenation per new item."""
-    spine = []  # the chain's left spine down to a rendered chain or a literal
-    while isinstance(f, join) and id(f) not in rendered:
+    holds the text of every chain and literal rendered so far in one export,
+    by id, so a literal shared by many rules is rendered once and a chain
+    that extends a rendered one costs one concatenation per new item."""
+    spine = []  # the chain's left spine down to a rendered node or a literal
+    while type(f) is join and id(f) not in rendered:
         spine.append(f)
         f = f.left
     text = rendered.get(id(f))
     if text is None:
-        text = _render_literal(f, rule_index, allow_double)
+        text = rendered[id(f)] = _render_literal(f, rule_index, allow_double)
     for chain in reversed(spine):
         right = chain.right
-        right_text = (_render(right, rendered, join, sep, rule_index, allow_double)
-                      if isinstance(right, join) else
-                      _render_literal(right, rule_index, allow_double))
+        right_text = rendered.get(id(right))
+        if right_text is None:
+            if type(right) is join:
+                right_text = _render(right, rendered, join, sep, rule_index, allow_double)
+            else:
+                right_text = rendered[id(right)] = _render_literal(right, rule_index,
+                                                                   allow_double)
         text = rendered[id(chain)] = text + sep + right_text
     return text
 
 
 def _render_literal(f: Formula, rule_index: int, allow_double: bool = False) -> str:
-    if isinstance(f, DNeg):
-        inner = f.child
-        if allow_double and isinstance(inner, DNeg):
-            lit = as_explicit_literal(inner.child)
-            if lit is not None:
-                return "not not " + _render_explicit(lit)
-        lit = as_explicit_literal(inner)
-        if lit is not None:
-            return "not " + _render_explicit(lit)
-    else:
-        lit = as_explicit_literal(f)
-        if lit is not None:
-            return _render_explicit(lit)
+    """``L``, ``not L`` or, if ``allow_double``, ``not not L`` for an explicit
+    literal ``L``, printed ``a`` or ``-a``; anything else is not regular."""
+    g, prefix = f, ""
+    if type(g) is DNeg:
+        g, prefix = g.child, "not "
+        if allow_double and type(g) is DNeg:
+            g, prefix = g.child, "not not "
+    if type(g) is XNeg:
+        g, prefix = g.child, prefix + "-"
+    if type(g) is AtomRef:
+        return prefix + g.atom.name
     raise NotRegular(f"rule {rule_index} is not regular at {f!r}")
-
-
-def _render_explicit(lit) -> str:
-    return ("-" if lit.negated else "") + lit.atom.name
 
 
 # ---------------------------------------------------------------------------

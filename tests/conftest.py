@@ -41,6 +41,20 @@ def formula_strategy(allow_impl=True, atom_pool=ATOMS, max_leaves=6):
                         max_leaves=max_leaves)
 
 
+@st.composite
+def shared_nodes(draw, atom_pool=ATOMS, kinds=(XNeg, DNeg, And, Or, Impl), max_steps=14):
+    """Formula nodes that share subformulas, leaves first: each new node takes
+    its operands from the atoms, the constants and the nodes built before it,
+    so one node is often the operand of several others."""
+    pool = [AtomRef(a) for a in atom_pool] + [BOT, TOP]
+    steps = draw(st.lists(st.tuples(st.sampled_from(kinds), st.integers(0, 99),
+                                    st.integers(0, 99)), min_size=1, max_size=max_steps))
+    for kind, i, j in steps:
+        left, right = pool[-1 - i % len(pool)], pool[-1 - j % len(pool)]
+        pool.append(kind(left) if kind in (XNeg, DNeg) else kind(left, right))
+    return pool
+
+
 # Lexer input: every operator and Unicode alias, comments, the whitespace the
 # lexer skips, and characters a word may contain but not start with.
 LEXER_PIECES = ["p", "q1", "_x", "bot", "top", "not", "~", "!", "&", "|", "->",

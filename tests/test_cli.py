@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import product
 from pathlib import Path
 
@@ -297,14 +298,14 @@ class TestSharedSubformulas:
 
     def test_each_shared_node_is_walked_once(self, capsys, monkeypatch):
         import eqlx.cli
-        from eqlx import core, parse_formula, semantics
+        from eqlx import parse_formula, semantics, truthtable
 
         text = _chain("<->", 12)
         edges, tree = self._distinct_edges(parse_formula(text))
         assert tree > 8000
 
-        calls = {"_collect_atoms": 0, "_val": 0}
-        for module, name in ((core, "_collect_atoms"), (semantics, "_val")):
+        calls = {"atoms": 0, "_val": 0}
+        for module, name in ((truthtable, "atoms"), (semantics, "_val")):
             def counting(*args, _name=name, _original=getattr(module, name)):
                 calls[_name] += 1
                 return _original(*args)
@@ -315,9 +316,18 @@ class TestSharedSubformulas:
 
         monkeypatch.setattr(eqlx.cli, "canonical_print", no_printing)
         assert run(capsys, "valid", text) == (*_NOT_VALID, "")
-        # two walks each: one to decide and one to report; a walk calls once
-        # for the root and once per edge
-        assert calls == {"_collect_atoms": 2 * (1 + edges), "_val": 2 * (1 + edges)}
+        # two walks each: one to decide and one to report.  ``atoms`` walks
+        # in one loop (test_atoms_visits_each_shared_node_once); ``_val``
+        # calls once for the root and once per edge
+        assert calls == {"atoms": 2, "_val": 2 * (1 + edges)}
+
+    def test_atoms_visits_each_shared_node_once(self):
+        from eqlx import Atom, atoms, parse_formula
+
+        # 60 arrows unfold into a tree of more than 2^60 nodes, which no
+        # walk that visits a shared node twice could finish
+        assert atoms(parse_formula(_chain("<->", 60))) == {Atom("p")}
+        assert atoms(parse_formula(_chain("<=>", 60))) == {Atom("p")}
 
     # (length, first 16 hex digits of the SHA-256) of the text of `valid --json`
     # and of canonical_print, for 1 to 8 arrows, as the unmemoized printer
@@ -409,6 +419,35 @@ class TestSharedSubformulas:
             (0, "{p}\n", "")
         # one chunk, one fold: once for the root and once per edge
         assert calls == [1 + edges]
+
+
+    def test_context_evaluates_each_shared_node_once_per_world_pair(self, capsys,
+                                                                    monkeypatch):
+        from eqlx import parse_formula, semantics
+
+        text = _chain("<=>", 12)  # unfolds into a tree of more than 4^12 nodes
+        edges, seen, stack = 0, set(), [parse_formula(text)]
+        while stack:
+            g = stack.pop()
+            if id(g) not in seen:
+                seen.add(id(g))
+                children = [getattr(g, n) for n in ("left", "right", "child") if hasattr(g, n)]
+                edges += len(children)
+                stack += children
+        calls = [0]
+        for name in ("_sat", "_fals"):
+            def counting(*args, _original=getattr(semantics, name)):
+                calls[0] += 1
+                return _original(*args)
+            monkeypatch.setattr(semantics, name, counting)
+        assert run(capsys, "context", text, "q") == (0, (
+            "witness: p=2, q=0\nsatisfies: left\ncontext:\np.\n"
+            "equilibrium models with left: {p}\n"
+            "equilibrium models with right: {p, q}\n"), "")
+        # context checks its witness with three top-level calls.  In each, a
+        # node is evaluated at most once per world pair, (h, t) or (t, t),
+        # and relation, and an evaluation calls at most twice per edge
+        assert calls[0] <= 3 * (1 + 2 * 2 * 2 * edges)
 
 
 class TestContext:
@@ -528,6 +567,113 @@ class TestTransformCommands:
         assert code == 0
         assert out == ("-bird ; flies :- not bird.\n"
                        "-bird ; flies :- not -flies.\n")
+
+
+def _backend_literal(rng, name):
+    return rng.choice(["", "~", "not ", "not ~"]) + name
+
+
+def _distribution_program(k, seed):
+    """Two rules ``&_i (x_i | y_i) -> |_i (u_i & v_i)`` over fresh literals:
+    each regularizes into 4^k rules."""
+    rng = random.Random(seed)
+
+    def pair(left, join, right):
+        return f"({_backend_literal(rng, left)}{join}{_backend_literal(rng, right)})"
+
+    return "".join(
+        " & ".join(pair(f"b{r}x{i}", " | ", f"b{r}y{i}") for i in range(k)) + " -> "
+        + " | ".join(pair(f"h{r}u{i}", " & ", f"h{r}v{i}") for i in range(k)) + ".\n"
+        for r in range(2))
+
+
+def _sweep_formula(rng, depth):
+    """A random nested expression over six atoms, parenthesized throughout."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(["u0", "u1", "u2", "u3", "u4", "u5", "top", "bot"])
+    kind = rng.randrange(4)
+    if kind < 2:
+        return ("~", "not ")[kind] + "(" + _sweep_formula(rng, depth - 1) + ")"
+    return ("(" + _sweep_formula(rng, depth - 1) + (" & ", " | ")[kind - 2]
+            + _sweep_formula(rng, depth - 1) + ")")
+
+
+def _sweep_program(seed):
+    rng = random.Random(seed)
+    return "".join(f"{_sweep_formula(rng, 3)} -> {_sweep_formula(rng, 2)}.\n"
+                   for _ in range(300))
+
+
+_BACKEND_PROGRAMS = {"k3": lambda: _distribution_program(3, 3),
+                     "k4": lambda: _distribution_program(4, 4),
+                     "k5": lambda: _distribution_program(5, 5),
+                     "sweep300": lambda: _sweep_program(300)}
+_BACKEND_RUNS = [(command, *flags) for command in ("regular", "export")
+                 for flags in ((), ("--no-head-not",), ("--json",),
+                               ("--no-head-not", "--json"))] + [("regular", "--rule-trace")]
+
+
+_NO_TEXT = (0, "e3b0c44298fc1c14")
+
+
+class TestBackendOutputsArePinned:
+    """``regular`` and ``export`` print what they printed before the back end
+    was made to cost a constant per output rule: (length, first 16 hex digits
+    of the SHA-256) of stdout and of stderr."""
+
+    PINNED = {  # (exit code, stdout, stderr)
+        ('k3', 'regular'): (0, (7104, '62a19d4ec7e9ca8f'), _NO_TEXT),
+        ('k3', 'regular --no-head-not'): (0, (7872, '8a7a8178cd9cbec4'), _NO_TEXT),
+        ('k3', 'regular --json'): (0, (8369, '975cdb166610c138'), _NO_TEXT),
+        ('k3', 'regular --no-head-not --json'): (0, (9137, '93691810df5a0db2'), _NO_TEXT),
+        ('k3', 'export'): (0, (6848, '9f43b2f98a558c16'), _NO_TEXT),
+        ('k3', 'export --no-head-not'): (0, (7424, 'aeb84902599f5de5'), _NO_TEXT),
+        ('k3', 'export --json'): (0, (7083, '0a637ab6ab07dd91'), _NO_TEXT),
+        ('k3', 'export --no-head-not --json'): (0, (7659, 'edd23098d7a1d5b2'), _NO_TEXT),
+        ('k3', 'regular --rule-trace'): (0, (7104, '62a19d4ec7e9ca8f'), (262, 'b965cb7442cefeef')),
+        ('k4', 'regular'): (0, (38016, '7b044d2402756848'), _NO_TEXT),
+        ('k4', 'regular --no-head-not'): (0, (42720, 'e29dcf75d8645252'), _NO_TEXT),
+        ('k4', 'regular --json'): (0, (42737, 'e37ff212d9edaf1c'), _NO_TEXT),
+        ('k4', 'regular --no-head-not --json'): (0, (47441, '4fbdd5c187833382'), _NO_TEXT),
+        ('k4', 'export'): (0, (36480, 'd7b6fc5b346cdd6b'), _NO_TEXT),
+        ('k4', 'export --no-head-not'): (0, (39968, '17d1eb1c825e9358'), _NO_TEXT),
+        ('k4', 'export --json'): (0, (37099, '7fad2d35afb9c559'), _NO_TEXT),
+        ('k4', 'export --no-head-not --json'): (0, (40587, 'f01c31169a71a7bb'), _NO_TEXT),
+        ('k4', 'regular --rule-trace'):
+            (0, (38016, '7b044d2402756848'), (346, 'abb992a5f956309c')),
+        ('k5', 'regular'): (0, (184832, 'b91b88f01de6ba24'), _NO_TEXT),
+        ('k5', 'regular --no-head-not'): (0, (201216, '114cf8f5c5c8d106'), _NO_TEXT),
+        ('k5', 'regular --json'): (0, (203377, '1e29517e6c28f233'), _NO_TEXT),
+        ('k5', 'regular --no-head-not --json'): (0, (219761, '4264daa4d078f610'), _NO_TEXT),
+        ('k5', 'export'): (0, (176640, '7371cfcfccaf0970'), _NO_TEXT),
+        ('k5', 'export --no-head-not'): (0, (188928, '9e4e5978e0bfdc0d'), _NO_TEXT),
+        ('k5', 'export --json'): (0, (178795, '87b910701ab6f7ab'), _NO_TEXT),
+        ('k5', 'export --no-head-not --json'): (0, (191083, '30b22304eb65b738'), _NO_TEXT),
+        ('k5', 'regular --rule-trace'):
+            (0, (184832, 'b91b88f01de6ba24'), (430, '87a4d0983490662e')),
+        ('sweep300', 'regular'): (0, (4789, 'f57afb083c3b1a5b'), _NO_TEXT),
+        ('sweep300', 'regular --no-head-not'): (0, (5585, '72f6bfd2e039ea5b'), _NO_TEXT),
+        ('sweep300', 'regular --json'): (0, (7494, '262d1c7166c4c437'), _NO_TEXT),
+        ('sweep300', 'regular --no-head-not --json'): (0, (8290, '293929996a70cfaa'), _NO_TEXT),
+        ('sweep300', 'export'): (0, (4546, 'f3a944b9810f549b'), _NO_TEXT),
+        ('sweep300', 'export --no-head-not'): (0, (5038, '8b6a2f0502088a7c'), _NO_TEXT),
+        ('sweep300', 'export --json'): (0, (4941, '720a7dd5c109259b'), _NO_TEXT),
+        ('sweep300', 'export --no-head-not --json'): (0, (5433, '9705173df3cb689d'), _NO_TEXT),
+        ('sweep300', 'regular --rule-trace'):
+            (0, (4789, 'f57afb083c3b1a5b'), (12629, '76e6aa55174069b1')),
+    }
+
+    @pytest.mark.parametrize("program", sorted(_BACKEND_PROGRAMS))
+    @pytest.mark.parametrize("argv", _BACKEND_RUNS, ids=" ".join)
+    def test_output(self, tmp_path, capsys, program, argv):
+        import hashlib
+
+        def pin(text):
+            return len(text), hashlib.sha256(text.encode()).hexdigest()[:16]
+
+        path = write(tmp_path, "program.x5", _BACKEND_PROGRAMS[program]())
+        code, out, err = run(capsys, *argv, path)
+        assert (code, pin(out), pin(err)) == self.PINNED[program, " ".join(argv)]
 
 
 class TestTables:

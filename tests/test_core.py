@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import ATOMS, formulas, nested_formulas, x5_interps
+from conftest import ATOMS, formulas, nested_formulas, shared_nodes, x5_interps
 from eqlx import (
     BOT,
     TOP,
@@ -85,6 +85,20 @@ class TestAtomCollection:
         prog = parse_program(
             "not (bird & ~flies) -> ~(bird & ~flies).\nbird.")
         assert atoms(prog) == {Atom("bird"), Atom("flies")}
+
+    def test_a_deep_chain_is_walked_without_recursion(self):
+        chain = parse_formula(" & ".join(f"p{i}" for i in range(20000)))
+        assert atoms(chain) == {Atom(f"p{i}") for i in range(20000)}
+        assert atoms(Rule(p, Or(chain, q))) == atoms(chain) | {Atom("p"), Atom("q")}
+
+    def test_every_kind_of_input(self):
+        f = Impl(And(p, XNeg(q)), Or(DNeg(r), BOT))
+        expected = {Atom("p"), Atom("q"), Atom("r")}
+        assert atoms(f) == atoms(Rule(And(p, XNeg(q)), Or(DNeg(r), BOT))) == expected
+        assert atoms(Theory([f, TOP])) == atoms(Program([Rule(TOP, r), Rule(p, q)])) == expected
+        assert atoms(Interpretation([ExplicitLiteral(Atom("p"), True)])) == {Atom("p")}
+        with pytest.raises(TypeError, match="cannot collect atoms from int"):
+            atoms(3)
 
 
 class TestSubstitute:
@@ -254,6 +268,37 @@ class TestCanonicalPrint:
         assert canonical_print(Rule(TOP, bird)) == "bird."
         assert canonical_print(Rule(DNeg(p), q)) == "not p -> q."
 
+    def test_a_deep_chain_prints_without_recursion(self):
+        text = " & ".join(f"p{i}" for i in range(20000))
+        chain = parse_formula(text)
+        assert canonical_print(chain) == text
+        assert canonical_print(DNeg(Or(chain, p))) == f"not ({text} | p)"
+        assert canonical_print(Rule(And(chain, q), chain)) == f"{text} & q -> {text}."
+
+    def test_a_printed_lower_precedence_start_is_still_wrapped(self):
+        shared = Or(p, q)
+        program = Program([Rule(TOP, shared), Rule(And(shared, r), p),
+                           Rule(And(And(shared, r), shared), p)])
+        assert canonical_print(program) == \
+            "p | q.\n(p | q) & r -> p.\n(p | q) & r & (p | q) -> p.\n"
+        impl = Impl(p, q)
+        assert canonical_print(Theory([impl, Or(impl, r), And(Or(impl, r), q)])) == \
+            "p -> q.\n(p -> q) | r.\n((p -> q) | r) & q.\n"
+
+    @given(shared_nodes(), st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
+                                    min_size=1, max_size=8))
+    def test_matches_the_previous_printer_on_shared_nodes(self, pool, picks):
+        # nodes shared between formulas and rules, as a lower-precedence
+        # operand that one rule prints and another starts a chain with
+        theory = Theory(pool[-1 - i % len(pool)] for i, _ in picks)
+        assert canonical_print(theory) == _previous_print(theory)
+        sides = [f for f in pool if is_nested(f)]
+        program = Program(Rule(sides[-1 - i % len(sides)], sides[-1 - j % len(sides)])
+                          for i, j in picks)
+        assert canonical_print(program) == _previous_print(program)
+        for f in theory:
+            assert canonical_print(f) == _previous_print(f)
+
     @given(formulas, formulas)
     def test_matches_the_unmemoized_printer(self, phi, psi):
         # iff shares its operands, and the theory shares whole formulas
@@ -288,6 +333,61 @@ def _reference_print(f):
         op, level = (" & ", 3) if isinstance(f, And) else (" | ", 2)
         return wrap(f.left, level) + op + wrap(f.right, level, type(f.right) is type(f))
     return wrap(f.left, 1, isinstance(f.left, Impl)) + " -> " + _reference_print(f.right)
+
+
+_PREVIOUS_PREC = {Impl: 1, Or: 2, And: 3, XNeg: 4, DNeg: 4}
+_PREVIOUS_INFIX = {Impl: " -> ", Or: " | ", And: " & "}
+
+
+def _previous_print(x):
+    """The printer before chains were walked in a loop: memoized by id, one
+    recursive call per edge."""
+    printed = {}
+
+    def formula(f):
+        text = printed.get(id(f))
+        if text is not None:
+            return text
+        kind = type(f)
+        prec = _PREVIOUS_PREC.get(kind)
+        if prec is None:
+            text = f.atom.name if kind is AtomRef else "top" if kind is Top else "bot"
+        elif prec == 4:
+            child = f.child
+            text = formula(child)
+            if _PREVIOUS_PREC.get(type(child), 5) < 4:
+                text = "(" + text + ")"
+            if kind is DNeg:
+                text = "not " + text
+            else:
+                text = ("~ " if type(child) in (XNeg, DNeg) else "~") + text
+        else:
+            left, right = f.left, f.right
+            left_prec = _PREVIOUS_PREC.get(type(left), 5)
+            right_prec = _PREVIOUS_PREC.get(type(right), 5)
+            if kind is Impl:
+                wrap_left, wrap_right = left_prec == prec, False
+            else:
+                wrap_left, wrap_right = left_prec < prec, right_prec <= prec
+            left_text = formula(left)
+            if wrap_left:
+                left_text = "(" + left_text + ")"
+            right_text = formula(right)
+            if wrap_right:
+                right_text = "(" + right_text + ")"
+            text = left_text + _PREVIOUS_INFIX[kind] + right_text
+        printed[id(f)] = text
+        return text
+
+    def rule(r):
+        head = formula(r.head)
+        return f"{head}." if isinstance(r.body, Top) else f"{formula(r.body)} -> {head}."
+
+    if isinstance(x, Program):
+        return "".join(rule(r) + "\n" for r in x)
+    if isinstance(x, Theory):
+        return "".join(formula(f) + ".\n" for f in x)
+    return formula(x)
 
 
 class _HashOf:

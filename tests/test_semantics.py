@@ -9,7 +9,9 @@ from conftest import (
     formulas,
     interpretations,
     nested_formulas,
+    shared_nodes,
     x5_interps,
+    x5_strategy,
 )
 from genutil import ht_interpretations, ht_sat
 from eqlx import (
@@ -113,6 +115,61 @@ class TestTwoWorld:
         total = m.total_version()
         assert x5_sat(m, DNeg(f)) == (not x5_sat(total, f))
         assert x5_fals(m, DNeg(f)) == x5_sat(total, f)
+
+
+def _unmemoized_sat(h, t, f):
+    """Two-world satisfaction as it read before shared nodes were memoized."""
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bot):
+        return False
+    if isinstance(f, AtomRef):
+        return ExplicitLiteral(f.atom) in h
+    if isinstance(f, And):
+        return _unmemoized_sat(h, t, f.left) and _unmemoized_sat(h, t, f.right)
+    if isinstance(f, Or):
+        return _unmemoized_sat(h, t, f.left) or _unmemoized_sat(h, t, f.right)
+    if isinstance(f, XNeg):
+        return _unmemoized_fals(h, t, f.child)
+    if isinstance(f, DNeg):
+        return not _unmemoized_sat(t, t, f.child)
+    here_ok = (not _unmemoized_sat(h, t, f.left)) or _unmemoized_sat(h, t, f.right)
+    if h is t or h == t:
+        return here_ok
+    return here_ok and ((not _unmemoized_sat(t, t, f.left)) or _unmemoized_sat(t, t, f.right))
+
+
+def _unmemoized_fals(h, t, f):
+    if isinstance(f, Top):
+        return False
+    if isinstance(f, Bot):
+        return True
+    if isinstance(f, AtomRef):
+        return ExplicitLiteral(f.atom, negated=True) in h
+    if isinstance(f, And):
+        return _unmemoized_fals(h, t, f.left) or _unmemoized_fals(h, t, f.right)
+    if isinstance(f, Or):
+        return _unmemoized_fals(h, t, f.left) and _unmemoized_fals(h, t, f.right)
+    if isinstance(f, XNeg):
+        return _unmemoized_sat(h, t, f.child)
+    if isinstance(f, DNeg):
+        return _unmemoized_sat(t, t, f.child)
+    return _unmemoized_sat(t, t, f.left) and _unmemoized_fals(h, t, f.right)
+
+
+FIVE_ATOMS = tuple(Atom(n) for n in "pqrst")
+
+
+class TestSharedSubformulaMemo:
+    @given(shared_nodes(FIVE_ATOMS).map(lambda pool: pool[-1]), x5_strategy(FIVE_ATOMS))
+    @example(iff(iff(p, q), iff(p, q)), x5_from({P: 1, Q: -2}))
+    @example(strong_iff(Impl(p, DNeg(q)), Impl(p, DNeg(q))), x5_from({P: 2, Q: 1}))
+    def test_memoized_relations_match_the_unmemoized_ones(self, f, m):
+        for world in (m, m.total_version()):
+            h, t = world.here.literals, world.there.literals
+            assert x5_sat(world, f) == _unmemoized_sat(h, t, f)
+            assert x5_fals(world, f) == _unmemoized_fals(h, t, f)
+            assert x5_sat(world, DNeg(f)) == (not _unmemoized_sat(t, t, f))
 
 
 class TestFiveValuedCorrespondence:
