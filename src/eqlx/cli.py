@@ -3,9 +3,10 @@
 Results go to stdout, diagnostics and rule traces to stderr.  Exit codes:
 0 success, 1 semantic negative (no models, not valid, not equivalent),
 2 usage or parse error, 3 resource guard tripped (including a formula that
-nests too deeply to evaluate, such as a chain of thousands of ``&`` or
-``|``), 4 internal inconsistency (two routes that must agree did not; a bug
-in eqlx).  ``_EXIT_CODES`` maps each exception to its code.
+nests too deeply to rewrite or compare, such as a chain of thousands of
+``&`` or ``|`` given to a rewriter; evaluation and solving walk in a loop),
+4 internal inconsistency (two routes that must agree did not; a bug in
+eqlx).  ``_EXIT_CODES`` maps each exception to its code.
 
 Every subcommand is one entry of ``_COMMANDS``: its name, help, handler and
 arguments.

@@ -6,20 +6,21 @@ in this module is immutable, hashable and compared structurally, so values can
 be shared freely between threads.  A formula node's constructor fills every
 slot: its fields, ``_nested`` (whether it is a nested expression, read off
 its children's ``_nested``, so ``is_nested`` and ``Rule`` read one slot and
-never recurse) and ``_hash``, set to None.  The hash stays lazy: the first
-``hash()`` computes the value the dataclass derives from the node's fields
-and stores it in ``_hash``.  That write is the only one after construction,
-and it is idempotent: every thread that makes it stores the same value, so a
-node stays immutable in effect and safe to share.
+never recurse) and ``_hash``, the value the dataclass derives from the
+node's fields, computed from the children's stored hashes.  ``hash()`` reads
+the slot, so it walks nothing and a chain of any length hashes in constant
+stack depth.
+
+``postorder`` is the one walk the evaluation folds share: each distinct node
+once, children first, in a loop over an explicit stack.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from enum import IntEnum
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Union
+from typing import Container, Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
 __all__ = [
     "Atom",
@@ -55,6 +56,7 @@ __all__ = [
     "is_default_literal",
     "as_explicit_literal",
     "canonical_print",
+    "postorder",
 ]
 
 _ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -127,18 +129,12 @@ class Formula:
     _nested_connective = True  # may join nested expressions; not a slot
 
     def __hash__(self) -> int:
-        # hash(fields), as the dataclass would compute it, computed once.  The
-        # fields are read before the tuple is hashed, so a deep tree still
-        # costs one frame per level on its first hash.
-        h = self._hash
-        if h is None:
-            h = hash(self._field_tuple(self))
-            _store_hash(self, h)
-        return h
+        # hash(fields), as the dataclass would compute it, set by the constructor
+        return self._hash
 
     def __reduce__(self):
         # rebuild through the constructor, which fills the cache slots
-        return type(self), self._field_tuple(self)
+        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
 
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
@@ -178,16 +174,9 @@ def _refuse_delattr(self, name: str) -> None:
 
 def _node(cls: type) -> type:
     """A formula node: a frozen, slotted dataclass whose constructor fills
-    every slot and whose hash :meth:`Formula.__hash__` caches."""
+    every slot, the hash included."""
     cls = _frozen(cls)
     names = cls.__slots__  # the fields
-    if len(names) > 1:
-        cls._field_tuple = operator.attrgetter(*names)
-    elif names:  # attrgetter would return the bare value, not a 1-tuple
-        get = operator.attrgetter(*names)
-        cls._field_tuple = staticmethod(lambda f: (get(f),))
-    else:
-        cls._field_tuple = staticmethod(lambda f: ())
     cls.__init__ = _constructor(names, [getattr(cls, n).__set__ for n in names],
                                 cls._nested_connective)
     cls.__hash__ = Formula.__hash__
@@ -196,33 +185,34 @@ def _node(cls: type) -> type:
 
 def _constructor(names: tuple, setters: list, nested_connective: bool):
     """The ``__init__`` of a node with fields ``names``: it stores the fields
-    through their slot ``setters``, ``_hash`` as None and ``_nested`` as the
-    conjunction of ``nested_connective`` and the children's ``_nested``."""
+    through their slot ``setters``, ``_hash`` as the hash of the fields'
+    tuple and ``_nested`` as the conjunction of ``nested_connective`` and the
+    children's ``_nested``."""
     if names == ("left", "right"):
         set_left, set_right = setters
 
         def __init__(self, left, right):
             set_left(self, left)
             set_right(self, right)
-            _store_hash(self, None)
+            _store_hash(self, hash((left, right)))
             _store_nested(self, nested_connective and left._nested and right._nested)
     elif names == ("child",):
         set_child, = setters
 
         def __init__(self, child):
             set_child(self, child)
-            _store_hash(self, None)
+            _store_hash(self, hash((child,)))
             _store_nested(self, child._nested)
     elif names == ("atom",):
         set_atom, = setters
 
         def __init__(self, atom):
             set_atom(self, atom)
-            _store_hash(self, None)
+            _store_hash(self, hash((atom,)))
             _store_nested(self, True)
     else:  # a constant
         def __init__(self):
-            _store_hash(self, None)
+            _store_hash(self, hash(()))
             _store_nested(self, True)
     return __init__
 
@@ -567,6 +557,34 @@ def atoms(x: Union[Formula, Rule, Program, Theory, Interpretation]) -> set:
             elif kind is not Top and kind is not Bot:
                 raise TypeError(f"cannot collect atoms from {kind.__name__}")
     return found
+
+
+def postorder(roots: Iterable[Formula], done: Container[int]) -> Iterator[Formula]:
+    """Each node under ``roots`` once, after its children, skipping every
+    node whose id is in ``done`` together with the nodes below it.
+
+    The caller puts the id of each node it is given into ``done`` before it
+    asks for the next one; that is what makes a node shared by several
+    parents, as the operands of ``<->`` are, come once.  A fold keeps its
+    results in ``done``, by id, and reads a node's children there.  One loop
+    over an explicit stack does the walk, so a chain of any length needs no
+    recursion.  The roots outlive the walk, so the ids stay unique."""
+    stack: list = []
+    pop = stack.pop
+    for root in roots:
+        stack.append(root)
+        while stack:
+            f = pop()
+            if f is None:  # the children of the node below are done
+                yield pop()
+            elif id(f) not in done:
+                kind = type(f)
+                if kind in _BINARY:
+                    stack += (f, None, f.right, f.left)
+                elif kind in _UNARY:
+                    stack += (f, None, f.child)
+                else:
+                    yield f
 
 
 def substitute(phi: Formula, p: Atom, alpha: Formula) -> Formula:

@@ -2,15 +2,20 @@
 
 Three independent routes are implemented on purpose:
 
-* ``sat``/``fals`` — mutually recursive satisfaction and falsification of
-  nested expressions on a single literal set;
+* ``sat``/``fals`` — satisfaction and falsification of nested expressions
+  on a single literal set;
 * ``x5_sat``/``x5_fals`` — satisfaction and falsification of arbitrary
   formulas on a here/there pair;
 * ``value5`` — the five-valued valuation, which is also the only place the
   N5 variant (Nelson-style strong negation) is defined.
 
 The relations connecting the three routes are enforced by the test suite,
-not by sharing code between them.  A fourth, deliberately defective mode
+not by sharing code between them.  Only the walk is shared: each relation is
+one loop over ``core.postorder`` that keeps what it computes for every node
+in a dict by node id, so a subformula shared inside a formula, as in
+``iff(alpha, beta)``, is evaluated once, and a chain of any length needs no
+recursion.  Falsifying a formula is satisfying its explicit negation, so
+``fals`` reads the fold for ``~f``.  A fourth, deliberately defective mode
 (``classical_sat``) reads ``~`` as plain non-satisfaction; it exists to
 exhibit why that reading is unsuitable.
 """
@@ -20,10 +25,9 @@ from __future__ import annotations
 from enum import Enum
 from itertools import repeat
 from operator import neg
-from typing import Callable, Dict, FrozenSet, Optional, Sequence, Union
+from typing import Callable, Dict, FrozenSet, Sequence, Tuple, Union
 
 from .core import (
-    BOT,
     And,
     Atom,
     AtomRef,
@@ -42,6 +46,7 @@ from .core import (
     X5Interpretation,
     XNeg,
     is_nested,
+    postorder,
 )
 
 __all__ = [
@@ -83,39 +88,38 @@ def fals(t: Interpretation, f: Formula) -> bool:
 
 
 def _nsat(t: _LitSet, f: Formula) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, AtomRef):
-        return ExplicitLiteral(f.atom) in t
-    if isinstance(f, And):
-        return _nsat(t, f.left) and _nsat(t, f.right)
-    if isinstance(f, Or):
-        return _nsat(t, f.left) or _nsat(t, f.right)
-    if isinstance(f, XNeg):
-        return _nfals(t, f.child)
-    if isinstance(f, DNeg):
-        return not _nsat(t, f.child)
-    raise NotNested(f"sat is only defined on nested expressions: {f!r}")
+    """Whether ``t`` satisfies ``f``: one fold of the pair (satisfied,
+    falsified) over its nodes, which ``~`` swaps."""
+    done: Dict[int, Tuple[bool, bool]] = {}
+    for g in postorder((f,), done):
+        kind = type(g)
+        if kind is AtomRef:
+            out = ExplicitLiteral(g.atom) in t, ExplicitLiteral(g.atom, negated=True) in t
+        elif kind is And:
+            (sa, fa), (sb, fb) = done[id(g.left)], done[id(g.right)]
+            out = sa and sb, fa or fb
+        elif kind is Or:
+            (sa, fa), (sb, fb) = done[id(g.left)], done[id(g.right)]
+            out = sa or sb, fa and fb
+        elif kind is XNeg:
+            sa, fa = done[id(g.child)]
+            out = fa, sa
+        elif kind is DNeg:
+            sa = done[id(g.child)][0]
+            out = not sa, sa
+        elif kind is Top:
+            out = True, False
+        elif kind is Bot:
+            out = False, True
+        else:
+            raise NotNested(f"sat is only defined on nested expressions: {g!r}")
+        done[id(g)] = out
+    return done[id(f)][0]
 
 
 def _nfals(t: _LitSet, f: Formula) -> bool:
-    if isinstance(f, Top):
-        return False
-    if isinstance(f, Bot):
-        return True
-    if isinstance(f, AtomRef):
-        return ExplicitLiteral(f.atom, negated=True) in t
-    if isinstance(f, And):
-        return _nfals(t, f.left) or _nfals(t, f.right)
-    if isinstance(f, Or):
-        return _nfals(t, f.left) and _nfals(t, f.right)
-    if isinstance(f, XNeg):
-        return _nsat(t, f.child)
-    if isinstance(f, DNeg):
-        return _nsat(t, f.child)
-    raise NotNested(f"fals is only defined on nested expressions: {f!r}")
+    # falsifying f is satisfying ~f
+    return _nsat(t, XNeg(f))
 
 
 # ---------------------------------------------------------------------------
@@ -130,74 +134,46 @@ def x5_fals(m: X5Interpretation, phi: Formula) -> bool:
     return _fals(m.here.literals, m.there.literals, phi)
 
 
-# ``_sat`` and ``_fals`` share one memo per top-level call: it holds the
-# result for each compound node already evaluated, keyed by the node's id,
-# by whether it was evaluated at the pair (h, t) or at (t, t) (that is,
-# ``h is t``; ``DNeg`` and ``Impl`` switch to (t, t)), and by the relation.
-# A subformula shared inside ``f``, as in ``iff(alpha, beta)``, is thus
-# evaluated at most once per pair and relation; ``f`` outlives the call, so
-# the ids stay unique.
+def _sat(h: _LitSet, t: _LitSet, f: Formula) -> bool:
+    """Whether (h, t) satisfies ``f``: one fold of four booleans over its
+    nodes, whether (h, t) satisfies and whether it falsifies the node, then
+    the same at (t, t), which ``not`` and ``->`` read."""
+    done: Dict[int, Tuple[bool, bool, bool, bool]] = {}
+    for g in postorder((f,), done):
+        kind = type(g)
+        if kind is AtomRef:
+            lit, neg_lit = ExplicitLiteral(g.atom), ExplicitLiteral(g.atom, negated=True)
+            out = lit in h, neg_lit in h, lit in t, neg_lit in t
+        elif kind is And:
+            (sa, fa, sta, fta), (sb, fb, stb, ftb) = done[id(g.left)], done[id(g.right)]
+            out = sa and sb, fa or fb, sta and stb, fta or ftb
+        elif kind is Or:
+            (sa, fa, sta, fta), (sb, fb, stb, ftb) = done[id(g.left)], done[id(g.right)]
+            out = sa or sb, fa and fb, sta or stb, fta and ftb
+        elif kind is XNeg:
+            sa, fa, sta, fta = done[id(g.child)]
+            out = fa, sa, fta, sta
+        elif kind is DNeg:
+            # satisfied exactly when the there world never satisfies the child
+            sta = done[id(g.child)][2]
+            out = not sta, sta, not sta, sta
+        elif kind is Impl:
+            (sa, _, sta, _), (sb, fb, stb, ftb) = done[id(g.left)], done[id(g.right)]
+            there = (not sta) or stb
+            out = ((not sa) or sb) and there, sta and fb, there, sta and ftb
+        elif kind is Top:
+            out = True, False, True, False
+        elif kind is Bot:
+            out = False, True, False, True
+        else:
+            raise TypeError(f"cannot evaluate {kind.__name__}")
+        done[id(g)] = out
+    return done[id(f)][0]
 
 
-def _sat(h: _LitSet, t: _LitSet, f: Formula, memo: Optional[dict] = None) -> bool:
-    if isinstance(f, AtomRef):
-        return ExplicitLiteral(f.atom) in h
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if memo is None:
-        memo = {}
-    key = (id(f), h is t, True)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    if isinstance(f, And):
-        out = _sat(h, t, f.left, memo) and _sat(h, t, f.right, memo)
-    elif isinstance(f, Or):
-        out = _sat(h, t, f.left, memo) or _sat(h, t, f.right, memo)
-    elif isinstance(f, XNeg):
-        out = _fals(h, t, f.child, memo)
-    elif isinstance(f, DNeg):
-        # satisfied exactly when the there world never satisfies the child
-        out = not _sat(t, t, f.child, memo)
-    elif isinstance(f, Impl):
-        out = (not _sat(h, t, f.left, memo)) or _sat(h, t, f.right, memo)
-        if out and not (h is t or h == t):
-            out = (not _sat(t, t, f.left, memo)) or _sat(t, t, f.right, memo)
-    else:
-        raise TypeError(f"cannot evaluate {type(f).__name__}")
-    memo[key] = out
-    return out
-
-
-def _fals(h: _LitSet, t: _LitSet, f: Formula, memo: Optional[dict] = None) -> bool:
-    if isinstance(f, AtomRef):
-        return ExplicitLiteral(f.atom, negated=True) in h
-    if isinstance(f, Top):
-        return False
-    if isinstance(f, Bot):
-        return True
-    if memo is None:
-        memo = {}
-    key = (id(f), h is t, False)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    if isinstance(f, And):
-        out = _fals(h, t, f.left, memo) or _fals(h, t, f.right, memo)
-    elif isinstance(f, Or):
-        out = _fals(h, t, f.left, memo) and _fals(h, t, f.right, memo)
-    elif isinstance(f, XNeg):
-        out = _sat(h, t, f.child, memo)
-    elif isinstance(f, DNeg):
-        out = _sat(t, t, f.child, memo)
-    elif isinstance(f, Impl):
-        out = _sat(t, t, f.left, memo) and _fals(h, t, f.right, memo)
-    else:
-        raise TypeError(f"cannot evaluate {type(f).__name__}")
-    memo[key] = out
-    return out
+def _fals(h: _LitSet, t: _LitSet, f: Formula) -> bool:
+    # falsifying f is satisfying ~f
+    return _sat(h, t, XNeg(f))
 
 
 # ---------------------------------------------------------------------------
@@ -228,42 +204,32 @@ def _impl5(a: int, b: int, mode: EvalMode) -> int:
 
 
 def _val(column: Callable[[Atom], Sequence[int]], width: int, f: Formula,
-         mode: EvalMode, memo: Optional[Dict[int, Sequence[int]]] = None) -> Sequence[int]:
+         mode: EvalMode) -> Sequence[int]:
     """The values of ``f`` at ``width`` points, where ``column(a)`` gives the
-    values of atom ``a`` at those points, in the same order.
-
-    ``memo`` holds the values of the nodes already folded in this call, by
-    id, so a subformula shared inside ``f``, as in ``iff(alpha, beta)``, is
-    folded once; ``f`` outlives the call, so those ids stay unique."""
-    if memo is None:
-        memo = {}
-    out = memo.get(id(f))
-    if out is not None:
-        return out
-    if isinstance(f, Bot):
-        out = (-2,) * width
-    elif isinstance(f, Top):
-        out = (2,) * width
-    elif isinstance(f, AtomRef):
-        out = column(f.atom)
-    elif isinstance(f, And):
-        out = list(map(min, _val(column, width, f.left, mode, memo),
-                       _val(column, width, f.right, mode, memo)))
-    elif isinstance(f, Or):
-        out = list(map(max, _val(column, width, f.left, mode, memo),
-                       _val(column, width, f.right, mode, memo)))
-    elif isinstance(f, XNeg):
-        out = list(map(neg, _val(column, width, f.child, mode, memo)))
-    elif isinstance(f, DNeg):
-        out = list(map(_impl5, _val(column, width, f.child, mode, memo),
-                       repeat(-2), repeat(mode)))
-    elif isinstance(f, Impl):
-        out = list(map(_impl5, _val(column, width, f.left, mode, memo),
-                       _val(column, width, f.right, mode, memo), repeat(mode)))
-    else:
-        raise TypeError(f"cannot evaluate {type(f).__name__}")
-    memo[id(f)] = out
-    return out
+    values of atom ``a`` at those points, in the same order."""
+    done: Dict[int, Sequence[int]] = {}
+    for g in postorder((f,), done):
+        kind = type(g)
+        if kind is AtomRef:
+            out = column(g.atom)
+        elif kind is And:
+            out = list(map(min, done[id(g.left)], done[id(g.right)]))
+        elif kind is Or:
+            out = list(map(max, done[id(g.left)], done[id(g.right)]))
+        elif kind is XNeg:
+            out = list(map(neg, done[id(g.child)]))
+        elif kind is DNeg:
+            out = list(map(_impl5, done[id(g.child)], repeat(-2), repeat(mode)))
+        elif kind is Impl:
+            out = list(map(_impl5, done[id(g.left)], done[id(g.right)], repeat(mode)))
+        elif kind is Bot:
+            out = (-2,) * width
+        elif kind is Top:
+            out = (2,) * width
+        else:
+            raise TypeError(f"cannot evaluate {kind.__name__}")
+        done[id(g)] = out
+    return done[id(f)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,33 +242,42 @@ def classical_sat(m: X5Interpretation, phi: Formula) -> bool:
     No falsification relation exists under this reading, persistence fails,
     and ``not p -> ~p`` becomes a tautology; provided for comparison only.
     """
-    return _csat(m.here.literals, m.there.literals, phi)
+    return _csat(m.here.literals, m.there.literals, phi)[0]
 
 
-def _csat(h: _LitSet, t: _LitSet, f: Formula) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, AtomRef):
-        return ExplicitLiteral(f.atom) in h
-    if isinstance(f, And):
-        return _csat(h, t, f.left) and _csat(h, t, f.right)
-    if isinstance(f, Or):
-        return _csat(h, t, f.left) or _csat(h, t, f.right)
-    if isinstance(f, XNeg):
-        return not _csat(h, t, f.child)
-    if isinstance(f, DNeg):
-        return _csat_impl(h, t, f.child, BOT)
-    if isinstance(f, Impl):
-        return _csat_impl(h, t, f.left, f.right)
-    raise TypeError(f"cannot evaluate {type(f).__name__}")
-
-
-def _csat_impl(h: _LitSet, t: _LitSet, left: Formula, right: Formula) -> bool:
-    here_ok = (not _csat(h, t, left)) or _csat(h, t, right)
-    there_ok = (not _csat(t, t, left)) or _csat(t, t, right)
-    return here_ok and there_ok
+def _csat(h: _LitSet, t: _LitSet, f: Formula) -> Tuple[bool, bool]:
+    """Whether (h, t) and whether (t, t) satisfy ``f`` classically: one fold
+    of that pair over its nodes."""
+    done: Dict[int, Tuple[bool, bool]] = {}
+    for g in postorder((f,), done):
+        kind = type(g)
+        if kind is AtomRef:
+            lit = ExplicitLiteral(g.atom)
+            out = lit in h, lit in t
+        elif kind is And:
+            (ha, ta), (hb, tb) = done[id(g.left)], done[id(g.right)]
+            out = ha and hb, ta and tb
+        elif kind is Or:
+            (ha, ta), (hb, tb) = done[id(g.left)], done[id(g.right)]
+            out = ha or hb, ta or tb
+        elif kind is XNeg:
+            ha, ta = done[id(g.child)]
+            out = not ha, not ta
+        elif kind is DNeg:  # child -> bot
+            ha, ta = done[id(g.child)]
+            out = not ha and not ta, not ta
+        elif kind is Impl:
+            (ha, ta), (hb, tb) = done[id(g.left)], done[id(g.right)]
+            there = (not ta) or tb
+            out = ((not ha) or hb) and there, there
+        elif kind is Top:
+            out = True, True
+        elif kind is Bot:
+            out = False, False
+        else:
+            raise TypeError(f"cannot evaluate {kind.__name__}")
+        done[id(g)] = out
+    return done[id(f)]
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .core import (
     Top,
     XNeg,
     is_explicit,
+    postorder,
 )
 from .reduct import (  # noqa: F401  bench/tracing.py wraps these module bindings
     ferraris_theory,
@@ -83,82 +84,82 @@ class NotExplicit(ValueError):
 # ---------------------------------------------------------------------------
 # Relations in mask form, point by point over a chunk
 
-# the Ferraris masks of one formula: f+ satisfied, f- falsified, f satisfied
-# and f falsified at (t, t)
+# the masks of one node: satisfied and falsified at h, then at t, for
+# ``_nested_masks``; f+ satisfied, f- falsified, f satisfied and f falsified at
+# (t, t), for ``_ferraris_masks``
 Masks = Tuple[int, int, int, int]
 
 
-def _nested_masks(chunk: Chunk, f: Formula, at_there: bool = False) -> Tuple[int, int]:
+def _nested_masks(chunk: Chunk, f: Formula) -> Tuple[int, int]:
     """The points (h, t) where h satisfies and where h falsifies the reduct
-    ``f^t`` of a nested expression; with ``at_there``, where t itself
-    satisfies and falsifies ``f``."""
+    ``f^t`` of a nested expression.  Each node carries those two masks and
+    the points where t itself satisfies and falsifies it, which ``not G``
+    reads."""
     full = chunk.full
-    if isinstance(f, Top):
-        return full, 0
-    if isinstance(f, Bot):
-        return 0, full
-    if isinstance(f, AtomRef):
-        ge = chunk.atom_levels[f.atom]
-        if at_there:
-            return ge[2], full ^ ge[1]
-        return ge[3], full ^ ge[0]
-    if isinstance(f, DNeg):
-        # ``not G`` reduces to bot where t satisfies G, to top elsewhere
-        sat_there = _nested_masks(chunk, f.child, True)[0]
-        return full ^ sat_there, sat_there
-    if isinstance(f, XNeg):
-        sat, fals = _nested_masks(chunk, f.child, at_there)
-        return fals, sat
-    if isinstance(f, (And, Or)):
-        sat_a, fals_a = _nested_masks(chunk, f.left, at_there)
-        sat_b, fals_b = _nested_masks(chunk, f.right, at_there)
-        if isinstance(f, And):
-            return sat_a & sat_b, fals_a | fals_b
-        return sat_a | sat_b, fals_a & fals_b
-    raise NotNested(f"the reduct is only defined on nested expressions: {f!r}")
+    done: Dict[int, Masks] = {}
+    for g in postorder((f,), done):
+        kind = type(g)
+        if kind is AtomRef:
+            ge = chunk.atom_levels[g.atom]
+            out = ge[3], full ^ ge[0], ge[2], full ^ ge[1]
+        elif kind is And:
+            (sa, fa, sta, fta), (sb, fb, stb, ftb) = done[id(g.left)], done[id(g.right)]
+            out = sa & sb, fa | fb, sta & stb, fta | ftb
+        elif kind is Or:
+            (sa, fa, sta, fta), (sb, fb, stb, ftb) = done[id(g.left)], done[id(g.right)]
+            out = sa | sb, fa & fb, sta | stb, fta & ftb
+        elif kind is DNeg:
+            # ``not G`` reduces to bot where t satisfies G, to top elsewhere
+            sat_there = done[id(g.child)][2]
+            out = full ^ sat_there, sat_there, full ^ sat_there, sat_there
+        elif kind is XNeg:
+            sa, fa, sta, fta = done[id(g.child)]
+            out = fa, sa, fta, sta
+        elif kind is Top:
+            out = full, 0, full, 0
+        elif kind is Bot:
+            out = 0, full, 0, full
+        else:
+            raise NotNested(f"the reduct is only defined on nested expressions: {g!r}")
+        done[id(g)] = out
+    return done[id(f)][:2]
 
 
-def _ferraris_masks(chunk: Chunk, f: Formula,
-                    memo: Dict[int, Masks]) -> Masks:
+def _ferraris_masks(chunk: Chunk, f: Formula, done: Dict[int, Masks]) -> Masks:
     """The points (h, t) where h satisfies ``f+`` and where h falsifies
     ``f-``, the Ferraris reducts with respect to t, followed by the points
-    where (t, t) satisfies and where it falsifies ``f``.  ``memo`` holds the
+    where (t, t) satisfies and where it falsifies ``f``.  ``done`` holds the
     masks of the nodes folded so far in ``chunk``, by id, so a node shared
     inside a theory, as the operands of ``<->`` are, is folded once."""
-    hit = memo.get(id(f))
-    if hit is None:
-        hit = memo[id(f)] = _ferraris_fold(chunk, f, memo)
-    return hit
-
-
-def _ferraris_fold(chunk: Chunk, f: Formula, memo: Dict[int, Masks]) -> Masks:
     full = chunk.full
-    if isinstance(f, Top):
-        plus, minus, sat, fals = full, 0, full, 0
-    elif isinstance(f, Bot):
-        plus, minus, sat, fals = 0, full, 0, full
-    elif isinstance(f, AtomRef):
-        ge = chunk.atom_levels[f.atom]
-        plus, minus, sat, fals = ge[3], full ^ ge[0], ge[2], full ^ ge[1]
-    elif isinstance(f, XNeg):
-        p, m, s, x = _ferraris_masks(chunk, f.child, memo)
-        plus, minus, sat, fals = m, p, x, s
-    elif isinstance(f, DNeg):
-        p, _, s, _ = _ferraris_masks(chunk, f.child, memo)
-        plus, minus, sat, fals = full ^ p, full, full ^ s, s
-    elif isinstance(f, (And, Or, Impl)):
-        pa, ma, sa, xa = _ferraris_masks(chunk, f.left, memo)
-        pb, mb, sb, xb = _ferraris_masks(chunk, f.right, memo)
-        if isinstance(f, And):
-            plus, minus, sat, fals = pa & pb, ma | mb, sa & sb, xa | xb
-        elif isinstance(f, Or):
-            plus, minus, sat, fals = pa | pb, ma & mb, sa | sb, xa & xb
+    for g in postorder((f,), done):
+        kind = type(g)
+        if kind is AtomRef:
+            ge = chunk.atom_levels[g.atom]
+            plus, minus, sat, fals = ge[3], full ^ ge[0], ge[2], full ^ ge[1]
+        elif kind is And or kind is Or or kind is Impl:
+            (pa, ma, sa, xa), (pb, mb, sb, xb) = done[id(g.left)], done[id(g.right)]
+            if kind is And:
+                plus, minus, sat, fals = pa & pb, ma | mb, sa & sb, xa | xb
+            elif kind is Or:
+                plus, minus, sat, fals = pa | pb, ma & mb, sa | sb, xa & xb
+            else:
+                plus, minus, sat, fals = (full ^ pa) | pb, mb, (full ^ sa) | sb, sa & xb
+        elif kind is XNeg:
+            p, m, s, x = done[id(g.child)]
+            plus, minus, sat, fals = m, p, x, s
+        elif kind is DNeg:
+            p, _, s, _ = done[id(g.child)]
+            plus, minus, sat, fals = full ^ p, full, full ^ s, s
+        elif kind is Top:
+            plus, minus, sat, fals = full, 0, full, 0
+        elif kind is Bot:
+            plus, minus, sat, fals = 0, full, 0, full
         else:
-            plus, minus, sat, fals = (full ^ pa) | pb, mb, (full ^ sa) | sb, sa & xb
-    else:
-        raise TypeError(f"cannot reduce {type(f).__name__}")
-    # f+ is bot where (t, t) does not satisfy f, f- top where it does not falsify it
-    return plus & sat, minus & fals, sat, fals
+            raise TypeError(f"cannot reduce {kind.__name__}")
+        # f+ is bot where (t, t) does not satisfy f, f- top where it does not falsify it
+        done[id(g)] = plus & sat, minus & fals, sat, fals
+    return done[id(f)]
 
 
 def _rules_hold(chunk: Chunk, p: Program) -> int:
@@ -208,7 +209,7 @@ def equilibrium_models_ferraris(gamma: Union[Theory, Program],
     theory = _theory(gamma)
 
     def relation(chunk: Chunk) -> int:
-        memo: Dict[int, Masks] = {}
-        return chunk.all(_ferraris_masks(chunk, f, memo)[0] for f in theory)
+        done: Dict[int, Masks] = {}
+        return chunk.all(_ferraris_masks(chunk, f, done)[0] for f in theory)
 
     return _minimal(opts, gamma, relation)

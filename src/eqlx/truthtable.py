@@ -56,6 +56,7 @@ from .core import (
     X5Interpretation,
     XNeg,
     atoms,
+    postorder,
 )
 
 __all__ = [
@@ -178,9 +179,11 @@ def _implies(full: int, a: Levels, b: Levels) -> Levels:
 class Chunk:
     """One block of consecutive points, with the masks of every atom on it.
 
-    Compiling memoizes within one ``levels`` or ``designated`` call, so a
-    subterm shared inside the formula, as in ``iff(alpha, beta)``, is
-    compiled once and no mask outlives the call."""
+    ``levels`` is one loop over ``core.postorder`` that keeps the masks of
+    each node in a dict by node id for the length of the call, so a subterm
+    shared inside the formula, as in ``iff(alpha, beta)``, is compiled once,
+    a chain of any length needs no recursion, and no mask outlives the
+    call."""
 
     __slots__ = ("full", "_fixed", "_inner", "atom_levels")
 
@@ -193,11 +196,34 @@ class Chunk:
 
     def levels(self, f: Formula) -> Levels:
         """The masks of ``value >= k`` for k = -1, 0, 1, 2."""
-        return self._levels(f, {})
+        full = self.full
+        done: Dict[int, Levels] = {}
+        for g in postorder((f,), done):
+            kind = type(g)
+            if kind is AtomRef:
+                out = self.atom_levels[g.atom]
+            elif kind is And:
+                out = tuple(x & y for x, y in zip(done[id(g.left)], done[id(g.right)]))
+            elif kind is Or:
+                out = tuple(x | y for x, y in zip(done[id(g.left)], done[id(g.right)]))
+            elif kind is Impl:
+                out = _implies(full, done[id(g.left)], done[id(g.right)])
+            elif kind is XNeg:
+                out = tuple(full ^ x for x in reversed(done[id(g.child)]))
+            elif kind is DNeg:
+                out = _implies(full, done[id(g.child)], _NOWHERE)
+            elif kind is Top:
+                out = (full, full, full, full)
+            elif kind is Bot:
+                out = _NOWHERE
+            else:
+                raise TypeError(f"cannot evaluate {kind.__name__}")
+            done[id(g)] = out
+        return done[id(f)]
 
     def designated(self, f: Formula) -> int:
         """The points where ``f`` takes the value 2."""
-        return self._levels(f, {})[3]
+        return self.levels(f)[3]
 
     def all(self, masks: Iterable[int]) -> int:
         """The AND of ``masks``; the rest are not built once it is empty."""
@@ -207,34 +233,6 @@ class Chunk:
             if not bits:
                 break
         return bits
-
-    def _levels(self, f: Formula, memo: Dict[int, Levels]) -> Levels:
-        # the formula outlives the call, so the ids of its nodes stay unique
-        hit = memo.get(id(f))
-        if hit is None:
-            hit = memo[id(f)] = self._compile(f, memo)
-        return hit
-
-    def _compile(self, f: Formula, memo: Dict[int, Levels]) -> Levels:
-        full = self.full
-        if isinstance(f, Top):
-            return (full, full, full, full)
-        if isinstance(f, Bot):
-            return _NOWHERE
-        if isinstance(f, AtomRef):
-            return self.atom_levels[f.atom]
-        if isinstance(f, XNeg):
-            return tuple(full ^ x for x in reversed(self._levels(f.child, memo)))
-        if isinstance(f, DNeg):
-            return _implies(full, self._levels(f.child, memo), _NOWHERE)
-        if isinstance(f, (And, Or, Impl)):
-            left, right = self._levels(f.left, memo), self._levels(f.right, memo)
-            if isinstance(f, And):
-                return tuple(x & y for x, y in zip(left, right))
-            if isinstance(f, Or):
-                return tuple(x | y for x, y in zip(left, right))
-            return _implies(full, left, right)
-        raise TypeError(f"cannot evaluate {type(f).__name__}")
 
     def values(self, bit: int) -> Dict[Atom, int]:
         """The five-valued assignment at one bit of this chunk."""

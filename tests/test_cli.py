@@ -226,14 +226,40 @@ class TestValidAndEquiv:
         assert (code, out) == (2, "")
         assert err == "error: line 1, column 101: nesting too deep\n"
 
-    def test_long_conjunction_chain_exits_3(self, capsys):
-        code, out, err = run(capsys, "valid", " & ".join(["p"] * 3000))
-        assert (code, out) == (3, "")
-        assert err == "error: formula nests too deeply to evaluate\n"
+    def test_long_conjunction_chain_is_evaluated(self, capsys):
+        # the evaluation folds walk in a loop; test_nnf_long_disjunction_chain_exits_3
+        # keeps exit 3 for the rewriters, which still recurse
+        assert run(capsys, "valid", " & ".join(["p"] * 3000)) == \
+            (1, "not valid\nwitness: p=0 : 0\n", "")
+
+    @pytest.mark.parametrize("op", ["&", "|"])
+    def test_20000_member_chains_are_evaluated(self, tmp_path, capsys, op):
+        chain = f" {op} ".join(["p"] * 20000)
+        assert run(capsys, "eval", "--model", "{p}", chain) == \
+            (0, "value: 2\nsat: true\nfals: false\n", "")
+        assert run(capsys, "valid", chain) == (1, "not valid\nwitness: p=0 : 0\n", "")
+        assert run(capsys, "equiv", "weak", chain, "p") == (0, "weakly equivalent\n", "")
+        assert run(capsys, "equiv", "subst", chain, "p") == (0, "substitution-equivalent\n", "")
+        assert run(capsys, "context", chain, "q") == (0, (
+            "witness: p=2, q=0\nsatisfies: left\ncontext:\np.\n"
+            "equilibrium models with left: {p}\n"
+            "equilibrium models with right: {p, q}\n"), "")
+        assert run(capsys, "solve", write(tmp_path, "chain.x5", chain + ".\n")) == \
+            (0, "{p}\n", "")
+        assert run(capsys, "solve", write(tmp_path, "chain.txt", chain + "\n")) == \
+            (0, "{p}\n", "")
+
+    @pytest.mark.parametrize("op", ["&", "|"])
+    def test_a_long_chain_is_evaluated_and_printed_with_json(self, capsys, op):
+        # 5000 members, not 20 000: printing keeps the text of every prefix
+        # of a chain, so its memory grows with the square of the length
+        chain = f" {op} ".join(["p"] * 5000)
+        code, out, err = run(capsys, "valid", "--json", chain)
+        assert (code, err) == (1, "")
+        result = json.loads(out)["result"]
+        assert (result["valid"], result["formula"]) == (False, chain)
 
     def test_valid_and_solve_handle_450_member_chains(self, tmp_path, capsys):
-        # evaluation and solving recurse once per level, as the rewriters do
-        # (see test_rewriters_handle_450_member_chains): about 490 members fail
         members = 450
         conj = " & ".join(["p"] * members)
         disj = " | ".join(["p"] * (members - 1) + ["~q"])
@@ -301,25 +327,23 @@ class TestSharedSubformulas:
         from eqlx import parse_formula, semantics, truthtable
 
         text = _chain("<->", 12)
-        edges, tree = self._distinct_edges(parse_formula(text))
+        _, tree = self._distinct_edges(parse_formula(text))
         assert tree > 8000
-
-        calls = {"atoms": 0, "_val": 0}
-        for module, name in ((truthtable, "atoms"), (semantics, "_val")):
-            def counting(*args, _name=name, _original=getattr(module, name)):
-                calls[_name] += 1
-                return _original(*args)
-            monkeypatch.setattr(module, name, counting)
+        nodes = self._distinct_nodes(parse_formula(text))
+        atoms_calls = self._count_calls(monkeypatch, truthtable, "atoms")
+        walks = {module: self._count_walks(monkeypatch, module)
+                 for module in (truthtable, semantics)}
 
         def no_printing(x):
             raise AssertionError("printed in text mode")
 
         monkeypatch.setattr(eqlx.cli, "canonical_print", no_printing)
         assert run(capsys, "valid", text) == (*_NOT_VALID, "")
-        # two walks each: one to decide and one to report.  ``atoms`` walks
-        # in one loop (test_atoms_visits_each_shared_node_once); ``_val``
-        # calls once for the root and once per edge
-        assert calls == {"atoms": 2, "_val": 2 * (1 + edges)}
+        # ``atoms`` walks in one loop (test_atoms_visits_each_shared_node_once),
+        # once to decide and once to report; one chunk compiles the formula,
+        # and ``value5`` re-checks the witness twice
+        assert atoms_calls == [2]
+        assert walks == {truthtable: [nodes], semantics: [nodes, nodes]}
 
     def test_atoms_visits_each_shared_node_once(self):
         from eqlx import Atom, atoms, parse_formula
@@ -383,6 +407,35 @@ class TestSharedSubformulas:
             stack += children
         return edges, tree
 
+    @staticmethod
+    def _distinct_nodes(f):
+        seen, stack = set(), [f]
+        while stack:
+            g = stack.pop()
+            if id(g) not in seen:
+                seen.add(id(g))
+                stack += [getattr(g, n) for n in ("left", "right", "child") if hasattr(g, n)]
+        return len(seen)
+
+    @staticmethod
+    def _count_walks(monkeypatch, module):
+        """The number of nodes each ``postorder`` walk that ``module`` starts
+        yields, checking that none comes twice."""
+        walks = []
+        original = module.postorder
+
+        def counting(roots, done):
+            yielded, walk = set(), len(walks)
+            walks.append(0)
+            for g in original(roots, done):
+                assert id(g) not in yielded
+                yielded.add(id(g))
+                walks[walk] += 1
+                yield g
+
+        monkeypatch.setattr(module, "postorder", counting)
+        return walks
+
     def _count_calls(self, monkeypatch, module, name):
         calls = [0]
         original = getattr(module, name)
@@ -412,42 +465,29 @@ class TestSharedSubformulas:
         from eqlx import parse_formula, solver
 
         text = _chain("<->", 12)
-        edges, tree = self._distinct_edges(parse_formula(text))
+        _, tree = self._distinct_edges(parse_formula(text))
         assert tree > 8000
-        calls = self._count_calls(monkeypatch, solver, "_ferraris_masks")
+        nodes = self._distinct_nodes(parse_formula(text))
+        walks = self._count_walks(monkeypatch, solver)
         assert run(capsys, "solve", write(tmp_path, "chain.x5", text + ".\n")) == \
             (0, "{p}\n", "")
-        # one chunk, one fold: once for the root and once per edge
-        assert calls == [1 + edges]
-
+        # one chunk, one Ferraris fold, each distinct node once
+        assert walks == [nodes]
 
     def test_context_evaluates_each_shared_node_once_per_world_pair(self, capsys,
                                                                     monkeypatch):
         from eqlx import parse_formula, semantics
 
         text = _chain("<=>", 12)  # unfolds into a tree of more than 4^12 nodes
-        edges, seen, stack = 0, set(), [parse_formula(text)]
-        while stack:
-            g = stack.pop()
-            if id(g) not in seen:
-                seen.add(id(g))
-                children = [getattr(g, n) for n in ("left", "right", "child") if hasattr(g, n)]
-                edges += len(children)
-                stack += children
-        calls = [0]
-        for name in ("_sat", "_fals"):
-            def counting(*args, _original=getattr(semantics, name)):
-                calls[0] += 1
-                return _original(*args)
-            monkeypatch.setattr(semantics, name, counting)
+        nodes = self._distinct_nodes(parse_formula(text))
+        walks = self._count_walks(monkeypatch, semantics)
         assert run(capsys, "context", text, "q") == (0, (
             "witness: p=2, q=0\nsatisfies: left\ncontext:\np.\n"
             "equilibrium models with left: {p}\n"
             "equilibrium models with right: {p, q}\n"), "")
-        # context checks its witness with three top-level calls.  In each, a
-        # node is evaluated at most once per world pair, (h, t) or (t, t),
-        # and relation, and an evaluation calls at most twice per edge
-        assert calls[0] <= 3 * (1 + 2 * 2 * 2 * edges)
+        # context checks its witness with three calls of x5_sat, one on the
+        # chain and two on q, and each walk yields each distinct node once
+        assert walks == [nodes, 1, 1]
 
 
 class TestContext:

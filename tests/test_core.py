@@ -453,6 +453,15 @@ class TestHashCache:
             assert copy == phi and hash(copy) == hash(phi)
             assert is_nested(copy) is is_nested(phi)
 
+    def test_a_deep_chain_hashes_without_recursion(self):
+        # the constructor stores the hash, so hashing reads one slot
+        chain = parse_formula(" & ".join(["p"] * 20000))
+        expected = hash(p)
+        for _ in range(19999):
+            expected = hash((_HashOf(expected), _HashOf(hash(p))))
+        assert hash(chain) == expected
+        assert Program([Rule(chain, p), Rule(chain, p)]) == Program([Rule(chain, p)])
+
     def test_cached_value_is_not_a_field(self):
         f = And(p, DNeg(q))
         hash(f)

@@ -83,16 +83,17 @@ def test_a_call_compiles_each_shared_node_once_and_keeps_nothing():
     alpha, beta = And(p, q), Or(q, p)
     chunk = _only_chunk([Atom("p"), Atom("q")])
     compiled = []
-    original = truthtable.Chunk._compile
+    original = truthtable.postorder
 
-    def counting(self, f, memo):
-        compiled.append(f)
-        return original(self, f, memo)
+    def counting(roots, done):
+        for f in original(roots, done):
+            compiled.append(f)
+            yield f
 
-    with mock.patch.object(truthtable.Chunk, "_compile", counting):
+    with mock.patch.object(truthtable, "postorder", counting):
         first = chunk.levels(iff(alpha, beta))
         # the conjunction, two implications, alpha, beta, p and q
-        assert len(compiled) == 7
+        assert len(compiled) == len({id(f) for f in compiled}) == 7
         assert chunk.levels(iff(alpha, beta)) == first
         assert len(compiled) == 14
 
