@@ -5,11 +5,16 @@ subexpression of a nested expression by a constant according to the reference
 literal set, producing an explicit result.  ``ferraris_plus``/
 ``ferraris_minus`` are the dual transformations for arbitrary formulas: the
 positive one bottoms out unsatisfied subformulas, the negative one tops out
-unfalsified ones, and explicit negation swaps between them.  Constant
-folding of their results is ``transform.simplify_constants``.
+unfalsified ones, and explicit negation swaps between them.  Which
+subformulas those are is read from one fold over the formula's nodes at the
+total pair (t, t), so each node is evaluated once and a reduct takes time
+linear in its input and its result.  Constant folding of their results is
+``transform.simplify_constants``.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Tuple
 
 from .core import (
     BOT,
@@ -18,6 +23,7 @@ from .core import (
     AtomRef,
     Bot,
     DNeg,
+    ExplicitLiteral,
     Formula,
     Impl,
     Interpretation,
@@ -28,8 +34,9 @@ from .core import (
     Top,
     XNeg,
     is_nested,
+    postorder,
 )
-from .semantics import _fals, _nsat, _sat
+from .semantics import _nsat
 
 __all__ = [
     "reduct_nested",
@@ -77,12 +84,12 @@ def reduct_program(p: Program, t: Interpretation) -> Program:
 
 def ferraris_plus(phi: Formula, t: Interpretation) -> Formula:
     """Positive reduct of an arbitrary formula with respect to ``t``."""
-    return _fplus(phi, t.literals)
+    return _fplus(phi, _at_total(phi, t.literals))
 
 
 def ferraris_minus(phi: Formula, t: Interpretation) -> Formula:
     """Negative reduct, dual to :func:`ferraris_plus`."""
-    return _fminus(phi, t.literals)
+    return _fminus(phi, _at_total(phi, t.literals))
 
 
 def ferraris_theory(gamma, t: Interpretation) -> list:
@@ -90,37 +97,71 @@ def ferraris_theory(gamma, t: Interpretation) -> list:
     return [ferraris_plus(f, t) for f in gamma]
 
 
-def _fplus(f: Formula, t) -> Formula:
-    if not _sat(t, t, f):
+def _at_total(f: Formula, t) -> Dict[int, Tuple[bool, bool]]:
+    """Whether (t, t) satisfies and whether it falsifies each node of ``f``,
+    by id: one fold over its nodes, which both reducts then read."""
+    done: Dict[int, Tuple[bool, bool]] = {}
+    for g in postorder((f,), done):
+        kind = type(g)
+        if kind is AtomRef:
+            out = ExplicitLiteral(g.atom) in t, ExplicitLiteral(g.atom, negated=True) in t
+        elif kind is And:
+            (sa, fa), (sb, fb) = done[id(g.left)], done[id(g.right)]
+            out = sa and sb, fa or fb
+        elif kind is Or:
+            (sa, fa), (sb, fb) = done[id(g.left)], done[id(g.right)]
+            out = sa or sb, fa and fb
+        elif kind is XNeg:
+            sa, fa = done[id(g.child)]
+            out = fa, sa
+        elif kind is DNeg:
+            sa = done[id(g.child)][0]
+            out = not sa, sa
+        elif kind is Impl:
+            # at a total pair the here world is the there world
+            (sa, _), (sb, fb) = done[id(g.left)], done[id(g.right)]
+            out = (not sa) or sb, sa and fb
+        elif kind is Top:
+            out = True, False
+        elif kind is Bot:
+            out = False, True
+        else:
+            raise TypeError(f"cannot evaluate {kind.__name__}")
+        done[id(g)] = out
+    return done
+
+
+def _fplus(f: Formula, total: Dict[int, Tuple[bool, bool]]) -> Formula:
+    if not total[id(f)][0]:
         return BOT
     if isinstance(f, (AtomRef, Top)):
         return f
     if isinstance(f, And):
-        return And(_fplus(f.left, t), _fplus(f.right, t))
+        return And(_fplus(f.left, total), _fplus(f.right, total))
     if isinstance(f, Or):
-        return Or(_fplus(f.left, t), _fplus(f.right, t))
+        return Or(_fplus(f.left, total), _fplus(f.right, total))
     if isinstance(f, Impl):
-        return Or(DNeg(_fplus(f.left, t)), _fplus(f.right, t))
+        return Or(DNeg(_fplus(f.left, total)), _fplus(f.right, total))
     if isinstance(f, DNeg):
-        return DNeg(_fplus(f.child, t))
+        return DNeg(_fplus(f.child, total))
     if isinstance(f, XNeg):
-        return XNeg(_fminus(f.child, t))
+        return XNeg(_fminus(f.child, total))
     raise TypeError(f"cannot reduce {type(f).__name__}")
 
 
-def _fminus(f: Formula, t) -> Formula:
-    if not _fals(t, t, f):
+def _fminus(f: Formula, total: Dict[int, Tuple[bool, bool]]) -> Formula:
+    if not total[id(f)][1]:
         return TOP
     if isinstance(f, (AtomRef, Bot)):
         return f
     if isinstance(f, And):
-        return And(_fminus(f.left, t), _fminus(f.right, t))
+        return And(_fminus(f.left, total), _fminus(f.right, total))
     if isinstance(f, Or):
-        return Or(_fminus(f.left, t), _fminus(f.right, t))
+        return Or(_fminus(f.left, total), _fminus(f.right, total))
     if isinstance(f, Impl):
-        return _fminus(f.right, t)
+        return _fminus(f.right, total)
     if isinstance(f, DNeg):
         return BOT
     if isinstance(f, XNeg):
-        return XNeg(_fplus(f.child, t))
+        return XNeg(_fplus(f.child, total))
     raise TypeError(f"cannot reduce {type(f).__name__}")

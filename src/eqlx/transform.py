@@ -11,14 +11,20 @@ marked ``subst`` preserve the value at every interpretation and may fire in
 any context; rules marked ``weak`` only preserve designatedness and are
 applied outermost-first so that they never fire inside an explicit negation.
 The distribution and rule splitting of :func:`to_regular` stay hand-written;
-the names they trace are verified table entries too.  Distribution turns a
+the names they trace are verified table entries too.  Each rule side is
+walked three times, each walk one recursive call per node that dispatches on
+the node's exact type: pushing ``not`` down, which also checks negation
+normal form, then constant folding, then distribution.  Distribution turns a
 rule into alternatives of its body and of its head, and every (body, head)
-pair becomes a rule.  Each alternative is split once, into the items it keeps
-joined in one ``&``/``|`` chain and the ``not not`` items it shifts across,
-deduplicated there, so a pair only tests the few shifted items for
-membership and extends the two shared chains by those it adds; a ``Rule``
-then costs two slot writes and two slot reads.  The cost per output rule is
-thus a small constant, and the whole is linear in the rules produced.
+pair becomes a rule.  Each alternative is split in one pass over its items,
+into the items it keeps joined in one ``&``/``|`` chain and the ``not not``
+items it shifts across, deduplicated there, so a pair only tests the few
+shifted items for membership and extends the two shared chains by those it
+adds, or takes them as they are when nothing crosses; a ``Rule`` then costs
+two slot writes and two slot reads.  The cost per output rule is thus a
+small constant, and the whole is linear in the rules produced.  The walks
+recurse rather than loop over ``core.postorder``: in CPython a call per node
+costs less than a step of an explicit stack.
 :func:`export_asp` renders each distinct node once per call, by id: the
 text of a literal, which all the rules of a distribution share, and of
 every chain, so a rule side that extends a shared chain by one item costs
@@ -282,15 +288,16 @@ _table = functools.cache(_Table)  # one matcher per table
 
 
 def _match(pattern: Formula, f: Formula, binding: Binding) -> bool:
-    if isinstance(pattern, AtomRef):
+    kind = type(pattern)
+    if kind is AtomRef:
         # an atom of a pattern is a metavariable: it matches any subterm
         bound = binding.setdefault(pattern.atom.name, f)
         return bound is f or bound == f
-    if type(pattern) is not type(f):
+    if kind is not type(f):
         return False
-    if isinstance(pattern, (XNeg, DNeg)):
+    if kind is XNeg or kind is DNeg:
         return _match(pattern.child, f.child, binding)
-    if isinstance(pattern, (And, Or, Impl)):
+    if kind is And or kind is Or or kind is Impl:
         return _match(pattern.left, f.left, binding) and _match(pattern.right, f.right, binding)
     return True
 
@@ -299,25 +306,28 @@ def _instantiate(template: Formula, binding: Binding,
                  negated: Optional[Binding] = None) -> Formula:
     """The right-hand side ``template`` with its metavariables bound; each
     ``not v`` with ``v`` in ``negated`` becomes ``negated[v]``."""
-    if isinstance(template, AtomRef):
+    kind = type(template)
+    if kind is AtomRef:
         return binding[template.atom.name]
-    if negated and isinstance(template, DNeg) and isinstance(template.child, AtomRef):
-        return negated[template.child.atom.name]
-    if isinstance(template, (XNeg, DNeg)):
-        return type(template)(_instantiate(template.child, binding, negated))
-    if isinstance(template, (And, Or, Impl)):
-        return type(template)(_instantiate(template.left, binding, negated),
-                              _instantiate(template.right, binding, negated))
+    if kind is XNeg or kind is DNeg:
+        child = template.child
+        if negated and kind is DNeg and type(child) is AtomRef:
+            return negated[child.atom.name]
+        return kind(_instantiate(child, binding, negated))
+    if kind is And or kind is Or or kind is Impl:
+        return kind(_instantiate(template.left, binding, negated),
+                    _instantiate(template.right, binding, negated))
     return template
 
 
 def _negated_metavariables(template: Formula) -> List[str]:
     """The metavariables directly under a ``not`` in ``template``, left to right."""
-    if isinstance(template, DNeg) and isinstance(template.child, AtomRef):
+    kind = type(template)
+    if kind is DNeg and type(template.child) is AtomRef:
         return [template.child.atom.name]
-    if isinstance(template, (XNeg, DNeg)):
+    if kind is XNeg or kind is DNeg:
         return _negated_metavariables(template.child)
-    if isinstance(template, (And, Or, Impl)):
+    if kind is And or kind is Or or kind is Impl:
         return _negated_metavariables(template.left) + _negated_metavariables(template.right)
     return []
 
@@ -346,9 +356,12 @@ def to_nnf(phi: Formula, mode: EvalMode = EvalMode.X5,
     its operand before any subterm is visited, which guarantees the weak-only
     implication rule never fires inside a remaining ``~`` and keeps the
     result weakly equivalent in the selected logic.  On inputs without
-    implications only value-preserving rules fire.
+    implications only value-preserving rules fire.  Without a trace each
+    distinct node is rewritten once, so a subformula shared inside ``phi``,
+    as the operands of ``<->`` and ``<=>`` are, costs one rewrite; a trace
+    names every path of the unfolded tree, so a traced run visits each.
     """
-    return _nnf(phi, _nnf_rules(mode), trace, "")
+    return _nnf(phi, _nnf_rules(mode), trace, "", {} if trace is None else None)
 
 
 def _nnf_rules(mode: EvalMode) -> _Table:
@@ -358,31 +371,46 @@ def _nnf_rules(mode: EvalMode) -> _Table:
     return _table(tuple(r for r in NNF_RULES if mode in r.modes))
 
 
-def _nnf(f: Formula, rules: _Table, trace: Optional[list], path: str) -> Formula:
+def _nnf(f: Formula, rules: _Table, trace: Optional[list], path: str,
+         done: Optional[Dict[int, Tuple[Formula, Formula]]]) -> Formula:
     """``f`` in negation normal form; ``path`` is its position in the input,
     such as ``0.1.``, which the trace names and which is built only when a
-    trace is being recorded."""
+    trace is being recorded.  ``done``, None when tracing, maps the id of
+    each compound node rewritten so far to the node and its result; holding
+    the node keeps the id of a right-hand side built on the way unique."""
+    kind = type(f)
+    if kind is AtomRef:  # no entry's left-hand side is a bare metavariable
+        return f
+    if done is not None:
+        known = done.get(id(f))
+        if known is not None:
+            return known[1]
     traced = trace is not None
-    hit = rules.first_match(f) if type(f) in rules.roots else None
+    hit = rules.first_match(f) if kind in rules.roots else None
     if hit is not None:
         rule, binding = hit
         if traced:
             trace.append(f"{rule.name} @ {path.rstrip('.') or 'root'}")
-        return _nnf(_instantiate(rule.rhs, binding), rules, trace, path)
-    if isinstance(f, (And, Or, Impl)):
-        left = _nnf(f.left, rules, trace, path + "0." if traced else path)
-        right = _nnf(f.right, rules, trace, path + "1." if traced else path)
-        return f if left is f.left and right is f.right else type(f)(left, right)
-    if isinstance(f, (XNeg, DNeg)):
-        child = _nnf(f.child, rules, trace, path + "0." if traced else path)
-        return f if child is f.child else type(f)(child)
-    return f
+        out = _nnf(_instantiate(rule.rhs, binding), rules, trace, path, done)
+    elif kind is And or kind is Or or kind is Impl:
+        left = _nnf(f.left, rules, trace, path + "0." if traced else path, done)
+        right = _nnf(f.right, rules, trace, path + "1." if traced else path, done)
+        out = f if left is f.left and right is f.right else kind(left, right)
+    elif kind is XNeg or kind is DNeg:
+        child = _nnf(f.child, rules, trace, path + "0." if traced else path, done)
+        out = f if child is f.child else kind(child)
+    else:
+        return f
+    if done is not None:
+        done[id(f)] = f, out
+    return out
 
 
 def to_nnf_program(p: Program, mode: EvalMode = EvalMode.X5,
                    trace: Optional[list] = None) -> Program:
+    # rule sides parsed from a file share only atoms, so no memo pays here
     rules = _nnf_rules(mode)
-    return Program(Rule(_nnf(r.body, rules, trace, ""), _nnf(r.head, rules, trace, ""))
+    return Program(Rule(_nnf(r.body, rules, trace, "", None), _nnf(r.head, rules, trace, "", None))
                    for r in p)
 
 
@@ -404,21 +432,30 @@ def to_regular(p: Program, eliminate_head_dneg: bool = False,
     downstream tools that reject ``not`` in heads (the result then leaves the
     strict regular fragment and is exported as ``not not``).
 
+    A rule that is not in negation normal form raises :class:`NotInNNF`, and
+    the trace then holds the notes of the rules before it only.
     Distribution can explode; more than ``MAX_ALTERNATIVES`` alternatives
     raise :class:`RewriteBudgetExceeded`.
     """
     _ensure_verified()
     regular_rules, fold_rules = _table(REGULAR_RULES), _table(FOLD_RULES)
+    traced = trace is not None
     out: List[Rule] = []
     falsum = False
     for i, r in enumerate(p):
-        if not (is_nnf(r.body) and is_nnf(r.head)):
-            raise NotInNNF(f"rule {i} is not in negation normal form: {r!r}")
-        where = f"rule {i}"
-        body = _fold(_push_dneg(r.body, regular_rules, trace, where), fold_rules)
-        head = _fold(_push_dneg(r.head, regular_rules, trace, where), fold_rules)
-        body_alts = _alternatives(body, Or, And, Bot, "dist_and_or", trace, where)
-        head_alts = _alternatives(head, And, Or, Top, "dist_or_and", trace, where)
+        where = f"rule {i}" if traced else ""
+        noted = len(trace) if traced else 0
+        try:
+            body = _push_dneg(r.body, regular_rules, trace, where)
+            head = _push_dneg(r.head, regular_rules, trace, where)
+        except NotInNNF:
+            if traced:
+                del trace[noted:]
+            raise NotInNNF(f"rule {i} is not in negation normal form: {r!r}") from None
+        body_alts = _alternatives(_fold(body, fold_rules), Or, And, Bot, "dist_and_or",
+                                  trace, where)
+        head_alts = _alternatives(_fold(head, fold_rules), And, Or, Top, "dist_or_and",
+                                  trace, where)
         if not body_alts or not head_alts:
             _note(trace, "drop_trivial_rule", where)
             continue
@@ -426,18 +463,18 @@ def to_regular(p: Program, eliminate_head_dneg: bool = False,
             _note(trace, "body_or_split", where)
         if len(head_alts) > 1:
             _note(trace, "head_and_split", where)
-        bodies = [_split_body(conj, eliminate_head_dneg) for conj in body_alts]
-        heads = [_split_head(disj, eliminate_head_dneg) for disj in head_alts]
-        if trace is not None:
+        bodies = [_Side(conj, False, eliminate_head_dneg) for conj in body_alts]
+        heads = [_Side(disj, True, eliminate_head_dneg) for disj in head_alts]
+        if traced:
             shift_body, shift_head, elim = (f"{name} @ {where}" for name in (
                 "body_dneg_shift", "head_dneg_shift", "head_dneg_elim"))
         for b in bodies:
             for h in heads:
-                if trace is not None:
+                if traced:
                     trace += ([shift_body] * b.shifted + [shift_head] * h.shifted
                               + [elim] * (b.eliminated + h.eliminated))
-                body = _extend(b, h, And)
-                head = _extend(h, b, Or)
+                body = _extend(b, h, And) if h.across or b.last else b.chain
+                head = _extend(h, b, Or) if b.across or h.last else h.chain
                 if body is None and head is None:
                     falsum = True
                     continue
@@ -451,13 +488,20 @@ def to_regular(p: Program, eliminate_head_dneg: bool = False,
 
 
 def _push_dneg(f: Formula, rules: _Table, trace: Optional[list], where: str) -> Formula:
-    """Distribute ``not`` over the lattice connectives and cap chains at two."""
-    if isinstance(f, (And, Or)):
+    """Distribute ``not`` over the lattice connectives and cap chains at two.
+
+    The same walk checks negation normal form, as :func:`is_nnf` does on a
+    rule side, which holds no implication: an explicit negation of anything
+    but an atom raises :class:`NotInNNF`."""
+    kind = type(f)
+    if kind is And or kind is Or:
         left = _push_dneg(f.left, rules, trace, where)
         right = _push_dneg(f.right, rules, trace, where)
-        return f if left is f.left and right is f.right else type(f)(left, right)
-    if isinstance(f, DNeg):
+        return f if left is f.left and right is f.right else kind(left, right)
+    if kind is DNeg:
         return _dneg_of(_push_dneg(f.child, rules, trace, where), rules, trace, where)
+    if kind is XNeg and type(f.child) is not AtomRef:
+        raise NotInNNF(f"not in negation normal form: {f!r}")
     return f
 
 
@@ -478,12 +522,14 @@ def _dneg_of(g: Formula, rules: _Table, trace: Optional[list], where: str) -> Fo
     return _instantiate(rule.rhs, binding, negated)
 
 
-def _is_double_dneg(f: Formula) -> bool:
-    return isinstance(f, DNeg) and isinstance(f.child, DNeg)
-
-
 class _Side:
-    """One alternative of a rule side, split once for all the rules it is in.
+    """One alternative of a rule side, split once for all the rules it is in,
+    in one pass over its items.
+
+    Each ``not not L`` moves to the other side as ``not L``.  When heads may
+    not hold ``not`` (``eliminate_head_dneg``), a body's ``not not L`` comes
+    back to the end of the body instead, and each ``not L`` of a head moves
+    to the body as ``not not L``, after the head's shifted items.
 
     ``kept`` are the items that stay on this side, in order and without
     repeats, and ``chain`` joins them (None when there are none).  Each rule
@@ -491,42 +537,39 @@ class _Side:
     ones; both are deduplicated here, in order, so a rule only tests
     membership.  ``last`` only ever holds ``not not`` items, which are never
     kept.  ``shifted`` counts the ``not not`` items that move across and
-    ``eliminated`` the ``not`` items that leave a head; each rule notes
+    ``eliminated`` the items that the elimination moves; each rule notes
     them."""
 
     __slots__ = ("kept", "chain", "across", "last", "shifted", "eliminated")
 
-    def __init__(self, kept: List[Formula], join: type, across: List[Formula],
-                 last: List[Formula], shifted: int, eliminated: int):
-        self.kept = dict.fromkeys(kept)
-        self.chain = functools.reduce(join, self.kept) if self.kept else None
-        self.across = dict.fromkeys(across)
-        self.last = list(dict.fromkeys(last))
-        self.shifted, self.eliminated = shifted, eliminated
-
-
-def _split_body(conj: List[Formula], eliminate_head_dneg: bool) -> _Side:
-    """A body alternative: each ``not not L`` moves to the head as ``not L``;
-    when heads may not hold ``not``, it comes back to the end of the body."""
-    kept = [x for x in conj if not _is_double_dneg(x)]
-    doubled = [x for x in conj if _is_double_dneg(x)]
-    if eliminate_head_dneg:
-        return _Side(kept, And, [], doubled, len(doubled), len(doubled))
-    return _Side(kept, And, [DNeg(x.child.child) for x in doubled], [], len(doubled), 0)
-
-
-def _split_head(disj: List[Formula], eliminate_head_dneg: bool) -> _Side:
-    """A head alternative: each ``not not L`` moves to the body as ``not L``;
-    when heads may not hold ``not``, each ``not L`` then moves there as
-    ``not not L``."""
-    kept = [x for x in disj if not _is_double_dneg(x)]
-    across = [DNeg(x.child.child) for x in disj if _is_double_dneg(x)]
-    shifted = len(across)
-    moved = [x for x in kept if isinstance(x, DNeg)] if eliminate_head_dneg else []
-    if moved:
-        kept = [x for x in kept if not isinstance(x, DNeg)]
-        across += [DNeg(x) for x in moved]
-    return _Side(kept, Or, across, [], shifted, len(moved))
+    def __init__(self, items: List[Formula], head: bool, eliminate_head_dneg: bool):
+        join = Or if head else And
+        kept: Dict[Formula, None] = {}
+        across: Dict[Formula, None] = {}
+        last: Dict[Formula, None] = {}
+        moved: List[Formula] = []  # the ``not L`` items that leave a head
+        chain = None
+        shifted = 0
+        for x in items:
+            if type(x) is DNeg:
+                if type(x.child) is DNeg:
+                    shifted += 1
+                    if eliminate_head_dneg and not head:
+                        last[x] = None
+                    else:
+                        across[x.child] = None  # ``not L``
+                    continue
+                if head and eliminate_head_dneg:
+                    moved.append(x)
+                    continue
+            if x not in kept:
+                kept[x] = None
+                chain = x if chain is None else join(chain, x)
+        for x in moved:
+            across[DNeg(x)] = None
+        self.kept, self.chain, self.across, self.last = kept, chain, across, last
+        self.shifted = shifted
+        self.eliminated = len(moved) if head else shifted if eliminate_head_dneg else 0
 
 
 def _extend(side: _Side, other: _Side, join: type) -> Optional[Formula]:
@@ -548,14 +591,15 @@ def _alternatives(f: Formula, outer: type, inner: type, empty: type, name: str,
     by ``inner``: the disjunctive normal form of a body (``outer`` is ``Or``,
     ``empty`` is ``Bot``) or the conjunctive one of a head.  Distributing
     ``inner`` over ``outer`` notes ``name``."""
-    if isinstance(f, (Top, Bot)):
-        return [] if isinstance(f, empty) else [[]]
-    if isinstance(f, outer):
+    kind = type(f)
+    if kind is outer:
         return (_alternatives(f.left, outer, inner, empty, name, trace, where)
                 + _alternatives(f.right, outer, inner, empty, name, trace, where))
-    if isinstance(f, inner):
+    if kind is inner:
         left = _alternatives(f.left, outer, inner, empty, name, trace, where)
         right = _alternatives(f.right, outer, inner, empty, name, trace, where)
+        if len(left) == 1 and len(right) == 1:
+            return [left[0] + right[0]]
         if len(left) > 1 and len(right) > 1:
             _note(trace, name, where)
         n = len(left) * len(right)
@@ -563,6 +607,8 @@ def _alternatives(f: Formula, outer: type, inner: type, empty: type, name: str,
             raise RewriteBudgetExceeded(
                 f"distribution produced {n} alternatives, budget is {MAX_ALTERNATIVES}")
         return [x + y for x in left for y in right]
+    if kind is Top or kind is Bot:
+        return [] if kind is empty else [[]]
     return [[f]]
 
 
@@ -582,13 +628,18 @@ def simplify_constants(phi: Formula) -> Formula:
 
 
 def _fold(f: Formula, rules: _Table) -> Formula:
-    if isinstance(f, (And, Or, Impl)):
+    kind = type(f)
+    if kind is And or kind is Or or kind is Impl:
         left, right = _fold(f.left, rules), _fold(f.right, rules)
-        f = f if left is f.left and right is f.right else type(f)(left, right)
-    elif isinstance(f, (XNeg, DNeg)):
+        if left is not f.left or right is not f.right:
+            f = kind(left, right)
+    elif kind is XNeg or kind is DNeg:
         child = _fold(f.child, rules)
-        f = f if child is f.child else type(f)(child)
-    hit = rules.first_match(f) if type(f) in rules.roots else None
+        if child is not f.child:
+            f = kind(child)
+    if kind not in rules.roots:
+        return f
+    hit = rules.first_match(f)
     return f if hit is None else _instantiate(hit[0].rhs, hit[1])
 
 

@@ -4,7 +4,10 @@ memo by node id where the folds had one.
 
 Only the packaging differs: the compiler of ``truthtable.Chunk`` sits on a
 subclass, built from a real chunk with ``Chunk.of``, and the names the folds
-read come from the modules that still define them.
+read come from the modules that still define them.  The Ferraris reducts
+``_fplus``/``_fminus`` are kept as they were before they read one fold of
+(t, t): they call ``_sat``/``_fals`` at every node, here the recursive ones
+above.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 from eqlx import truthtable
 from eqlx.core import (
     BOT,
+    TOP,
     And,
     Atom,
     AtomRef,
@@ -327,3 +331,39 @@ def _ferraris_fold(chunk: Chunk, f: Formula, memo: Dict[int, Masks]) -> Masks:
         raise TypeError(f"cannot reduce {type(f).__name__}")
     # f+ is bot where (t, t) does not satisfy f, f- top where it does not falsify it
     return plus & sat, minus & fals, sat, fals
+
+
+def _fplus(f: Formula, t) -> Formula:
+    if not _sat(t, t, f):
+        return BOT
+    if isinstance(f, (AtomRef, Top)):
+        return f
+    if isinstance(f, And):
+        return And(_fplus(f.left, t), _fplus(f.right, t))
+    if isinstance(f, Or):
+        return Or(_fplus(f.left, t), _fplus(f.right, t))
+    if isinstance(f, Impl):
+        return Or(DNeg(_fplus(f.left, t)), _fplus(f.right, t))
+    if isinstance(f, DNeg):
+        return DNeg(_fplus(f.child, t))
+    if isinstance(f, XNeg):
+        return XNeg(_fminus(f.child, t))
+    raise TypeError(f"cannot reduce {type(f).__name__}")
+
+
+def _fminus(f: Formula, t) -> Formula:
+    if not _fals(t, t, f):
+        return TOP
+    if isinstance(f, (AtomRef, Bot)):
+        return f
+    if isinstance(f, And):
+        return And(_fminus(f.left, t), _fminus(f.right, t))
+    if isinstance(f, Or):
+        return Or(_fminus(f.left, t), _fminus(f.right, t))
+    if isinstance(f, Impl):
+        return _fminus(f.right, t)
+    if isinstance(f, DNeg):
+        return BOT
+    if isinstance(f, XNeg):
+        return XNeg(_fplus(f.child, t))
+    raise TypeError(f"cannot reduce {type(f).__name__}")

@@ -608,6 +608,16 @@ class TestTransformCommands:
         assert out == ("-bird ; flies :- not bird.\n"
                        "-bird ; flies :- not -flies.\n")
 
+    def test_no_head_not_moves_shifted_items_first(self, tmp_path, capsys):
+        # the head's ``not not b`` crosses before its ``not c``, whatever
+        # their order in the head
+        path = write(tmp_path, "elim.x5", "a -> not c | not not b.\n")
+        code, out, err = run(capsys, "regular", "--no-head-not", "--rule-trace", path)
+        assert (code, out) == (0, "a & not b & not not c -> bot.\n")
+        assert err == "head_dneg_shift @ rule 0\nhead_dneg_elim @ rule 0\n"
+        code, out, _ = run(capsys, "export", "--no-head-not", path)
+        assert (code, out) == (0, ":- a, not b, not not c.\n")
+
 
 def _backend_literal(rng, name):
     return rng.choice(["", "~", "not ", "not ~"]) + name

@@ -1,7 +1,8 @@
 """``core.postorder`` and the evaluation folds built on it.
 
 Each fold is compared with its recursive form in ``reference_folds`` on
-formulas whose nodes are shared, as ``<->`` and ``<=>`` share their operands.
+formulas whose nodes are shared, as ``<->`` and ``<=>`` share their operands,
+and so are the Ferraris reducts, which read one such fold.
 """
 
 import hypothesis.strategies as st
@@ -21,7 +22,7 @@ from eqlx import (
     parse_formula,
     strong_iff,
 )
-from eqlx import truthtable
+from eqlx import ferraris_minus, ferraris_plus, reduct, truthtable
 from eqlx.core import postorder
 from eqlx.semantics import _csat, _fals, _nfals, _nsat, _sat, _val
 from eqlx.solver import _ferraris_masks, _nested_masks
@@ -157,3 +158,35 @@ class TestFoldsMatchTheirRecursiveForms:
         assert [_ferraris_masks(chunk, f, done) for f in theory] == \
             [ref._ferraris_masks(chunk, f, memo) for f in theory]
 
+    @given(shared_formulas)
+    @settings(max_examples=60)
+    def test_ferraris_reducts(self, f):
+        for t in enumerate_interpretations(ATOMS):
+            assert (ferraris_plus(f, t), ferraris_minus(f, t)) == \
+                (ref._fplus(f, t.literals), ref._fminus(f, t.literals)), t
+
+
+class TestFerrarisReductWalksOnce:
+    def _yields(self, monkeypatch, reduce, f, t):
+        walked = []
+
+        def counting(roots, done):
+            for g in postorder(roots, done):
+                walked.append(id(g))
+                yield g
+
+        monkeypatch.setattr(reduct, "postorder", counting)
+        reduce(f, t)
+        return walked
+
+    def test_each_distinct_node_once_per_reduct(self, monkeypatch):
+        # a 450-member chain, and arrow chains, whose reducts unfold their
+        # shared operands
+        formulas = [parse_formula(" & ".join(["p"] * 450) + " -> q"),
+                    parse_formula(" <-> ".join(["p"] * 11)),
+                    parse_formula(" <=> ".join(["p", "~q"] * 3))]
+        for f in formulas:
+            for t in enumerate_interpretations(ATOMS[:2]):
+                for reduce in (ferraris_plus, ferraris_minus):
+                    walked = self._yields(monkeypatch, reduce, f, t)
+                    assert len(walked) == len(set(walked)) <= len(_distinct(f))

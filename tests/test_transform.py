@@ -4,7 +4,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from conftest import formulas, nested_formulas, programs, x5_interps
+from conftest import formulas, nested_formulas, programs, rules, x5_interps
 from genutil import random_program
 from reference_rewriters import ref_nnf, ref_push_dneg, ref_simplify_constants, ref_to_regular
 from eqlx import (
@@ -29,6 +29,7 @@ from eqlx import (
     answer_sets,
     atom,
     atoms,
+    canonical_print,
     cross_encode,
     enumerate_x5,
     export_asp,
@@ -47,7 +48,7 @@ from eqlx import (
     weak_equiv,
 )
 from eqlx import reduct, transform
-from eqlx.core import as_explicit_literal
+from eqlx.core import as_explicit_literal, postorder
 from eqlx.transform import FOLD_RULES, NNF_RULES, REGULAR_RULES, RewriteRule
 
 p, q = atom("p"), atom("q")
@@ -190,8 +191,25 @@ class TestTablesMatchHandWrittenRewriters:
     @example(parse_program("not not q & not r -> not q | not not r."), False, False)
     # a head item moved into the body is not added again after the body's own
     @example(parse_program("not not a & b -> not a | c."), True, True)
+    # an alternative that repeats items, and one made only of ``not not`` items
+    @example(parse_program("a & b & a & not not c & not not c -> d | not e | d | not e."),
+             True, True)
+    @example(parse_program("not not a & not not b & not not a -> not not c | not not a."),
+             True, True)
+    @example(parse_program("not not a & not not b -> not not c | not not c."), False, True)
+    # a head's shifted ``not not`` items go across before its ``not`` items
+    @example(parse_program("a -> not c | not not b."), True, True)
     @settings(max_examples=300)
     def test_to_regular(self, prog, eliminate_head_dneg, traced):
+        self._check_to_regular(prog, eliminate_head_dneg, traced)
+
+    @given(st.builds(Program, st.lists(rules, max_size=30)), st.booleans(), st.booleans())
+    @settings(max_examples=100)
+    def test_to_regular_on_longer_programs(self, prog, eliminate_head_dneg, traced):
+        self._check_to_regular(prog, eliminate_head_dneg, traced)
+
+    @staticmethod
+    def _check_to_regular(prog, eliminate_head_dneg, traced):
         nnf = to_nnf_program(prog)
         got, want = ([], []) if traced else (None, None)
         assert list(to_regular(nnf, eliminate_head_dneg, got)) == list(
@@ -273,6 +291,41 @@ class TestNNF:
         assert any(entry.startswith("xneg_dneg") for entry in trace)
 
 
+class TestNNFOfSharedSubformulas:
+    def test_untraced_nnf_rewrites_each_distinct_node_once(self, monkeypatch):
+        # 17 arrows: the unfolded tree has about 786 000 nodes
+        f = parse_formula(" <-> ".join(["p"] * 18))
+        calls = []
+        nnf = transform._nnf
+
+        def counting(g, *args):
+            calls.append(id(g))
+            return nnf(g, *args)
+
+        monkeypatch.setattr(transform, "_nnf", counting)
+        assert to_nnf(f) is f
+        distinct = set()
+        for g in postorder((f,), distinct):
+            distinct.add(id(g))
+        assert len(calls) <= 2 * len(distinct)
+
+    @pytest.mark.parametrize("arrow", ["<->", "<=>"])
+    @pytest.mark.parametrize("arrows", range(1, 9))
+    def test_untraced_text_is_the_traced_text(self, arrow, arrows):
+        chain = f" {arrow} ".join(["p"] * (arrows + 1))
+        # a negated chain is rewritten, in each mode its own way; it unfolds
+        # with or without a trace, so it stays short
+        runs = [(chain, EvalMode.X5)]
+        if arrows <= 4:
+            runs += [(f"~({chain})", mode) for mode in (EvalMode.X5, EvalMode.N5)]
+        for text, mode in runs:
+            f = parse_formula(text)
+            trace = []
+            traced = to_nnf(f, mode, trace)
+            assert trace or not text.startswith("~(")
+            assert canonical_print(to_nnf(f, mode)) == canonical_print(traced)
+
+
 class TestRegularization:
     def test_bird_rule(self):
         prog = parse_program("not (bird & ~flies) -> ~(bird & ~flies).")
@@ -320,6 +373,57 @@ class TestRegularization:
         wide = " & ".join(f"(a{i} | b{i})" for i in range(17)) + " -> c."
         with pytest.raises(RewriteBudgetExceeded):
             to_regular(parse_program(wide))
+
+    def test_head_shifts_its_not_not_items_before_it_moves_its_not_items(self):
+        trace = []
+        got = to_regular(parse_program("a -> not c | not not b."), True, trace)
+        assert canonical_print(got) == "a & not b & not not c -> bot.\n"
+        assert export_asp(got) == ":- a, not b, not not c.\n"
+        assert trace == ["head_dneg_shift @ rule 0", "head_dneg_elim @ rule 0"]
+
+    # pinned at the regularizer that split each pair's lists apart
+    @pytest.mark.parametrize("eliminate_head_dneg, expected, eliminated", [
+        (False, "a & b -> d | not e | not c", 0),
+        # the head's moved ``not e`` comes before the body's own ``not not c``
+        (True, "a & b & not not e & not not c -> d", 4),
+    ])
+    def test_an_alternative_that_repeats_items(self, eliminate_head_dneg, expected, eliminated):
+        prog = parse_program("a & b & a & not not c & not not c -> d | not e | d | not e.")
+        trace = []
+        got = to_regular(prog, eliminate_head_dneg, trace)
+        assert canonical_print(got) == expected + ".\n"
+        assert trace == (["body_dneg_shift @ rule 0"] * 2
+                         + ["head_dneg_elim @ rule 0"] * eliminated)
+
+    @pytest.mark.parametrize("eliminate_head_dneg, expected, eliminated", [
+        (False, "not c & not a -> not a | not b", 0),
+        (True, "not c & not a & not not a & not not b -> bot", 3),
+    ])
+    def test_an_alternative_of_not_not_items_only(self, eliminate_head_dneg, expected,
+                                                  eliminated):
+        prog = parse_program("not not a & not not b & not not a -> not not c | not not a.")
+        trace = []
+        got = to_regular(prog, eliminate_head_dneg, trace)
+        assert canonical_print(got) == expected + ".\n"
+        assert trace == (["body_dneg_shift @ rule 0"] * 3 + ["head_dneg_shift @ rule 0"] * 2
+                         + ["head_dneg_elim @ rule 0"] * eliminated)
+
+    @pytest.mark.parametrize("text, bad", [
+        # the later rule's body is fine and fires an entry; its head is not NNF
+        ("not (a & b) -> c.\nnot (d & e) -> ~(p | q).", 1),
+        ("not (a & b) -> c.\n~(p & q) -> not (d & e).", 1),
+        ("~~p -> q.", 0),
+    ])
+    def test_a_rule_not_in_nnf_keeps_the_earlier_rules_trace(self, text, bad):
+        prog = parse_program(text)
+        trace, earlier = [], []
+        to_regular(Program(list(prog)[:bad]), False, earlier)
+        with pytest.raises(NotInNNF) as err:
+            to_regular(prog, False, trace)
+        rule = list(prog)[bad]
+        assert str(err.value) == f"rule {bad} is not in negation normal form: {rule!r}"
+        assert trace == earlier
+        assert earlier == ([] if bad == 0 else ["dneg_and @ rule 0", "body_or_split @ rule 0"])
 
     @given(programs)
     @settings(max_examples=80)
