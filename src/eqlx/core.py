@@ -3,13 +3,16 @@
 Formulas combine explicit negation ``~`` (constructive falsity) with default
 negation ``not`` (negation as failure) over the usual connectives.  Every type
 in this module is immutable, hashable and compared structurally, so values can
-be shared freely between threads.  A formula node's constructor fills every
-slot: its fields, ``_nested`` (whether it is a nested expression, read off
-its children's ``_nested``, so ``is_nested`` and ``Rule`` read one slot and
-never recurse) and ``_hash``, the value the dataclass derives from the
-node's fields, computed from the children's stored hashes.  ``hash()`` reads
-the slot, so it walks nothing and a chain of any length hashes in constant
-stack depth.
+be shared freely between threads.  Each class is written out by hand: it
+declares its slots, its constructor writes them, and every assignment or
+deletion afterwards raises ``FrozenInstanceError``.  A formula node's
+constructor fills every slot: its fields, ``_nested`` (whether it is a nested
+expression, read off its children's ``_nested``, so ``is_nested`` and
+``Rule`` read one slot and never recurse) and ``_hash``, the hash of the
+tuple of the node's fields, computed from the children's stored hashes.
+``hash()`` reads the slot, so it walks nothing, and equality is one loop
+over the pairs of nodes left to compare, so a chain of any length hashes
+and compares in constant stack depth.
 
 ``postorder`` is the one walk the evaluation folds share: each distinct node
 once, children first, in a loop over an explicit stack.
@@ -18,7 +21,7 @@ once, children first, in a loop over an explicit stack.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from enum import IntEnum
 from typing import Container, Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
@@ -73,17 +76,58 @@ class NotNested(ValueError):
     """An implication occurs where only nested expressions are allowed."""
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """Propositional atom; names are lowercase-initial identifiers."""
+class _Frozen:
+    """Refuses every assignment and deletion, as a frozen dataclass does; a
+    constructor writes its slots past this, through the slot descriptors or
+    ``object.__setattr__``."""
 
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Atom(_Frozen):
+    """Propositional atom; names are lowercase-initial identifiers.
+
+    Atoms are ordered by name (``>`` and ``>=`` reflect to ``<`` and
+    ``<=``).  The constructor stores the hash, that of the tuple
+    ``(name,)``."""
+
+    __slots__ = ("name", "_hash")
     name: str
 
-    def __post_init__(self) -> None:
-        if self.name in RESERVED_WORDS:
-            raise ValueError(f"reserved word used as atom: {self.name!r}")
-        if not _ATOM_RE.match(self.name):
-            raise ValueError(f"not a valid atom name: {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if name in RESERVED_WORDS:
+            raise ValueError(f"reserved word used as atom: {name!r}")
+        if not _ATOM_RE.match(name):
+            raise ValueError(f"not a valid atom name: {name!r}")
+        _set_name(self, name)
+        _set_atom_hash(self, hash((name,)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other: "Atom") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name < other.name
+
+    def __le__(self, other: "Atom") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name <= other.name
+
+    def __reduce__(self):
+        return Atom, (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -92,16 +136,45 @@ class Atom:
         return f"Atom({self.name!r})"
 
 
-@dataclass(frozen=True, order=True)
-class ExplicitLiteral:
+_set_name, _set_atom_hash = Atom.name.__set__, Atom._hash.__set__
+
+
+class ExplicitLiteral(_Frozen):
     """An atom or its explicit negation.
 
-    The derived order (atom name first, positive before negative) is the
-    canonical printing order for interpretations.
+    The order of the pairs (atom, negated) (atom name first, positive before
+    negative) is the canonical printing order for interpretations; ``>`` and
+    ``>=`` reflect to ``<`` and ``<=``.
     """
 
+    __slots__ = ("atom", "negated")
     atom: Atom
-    negated: bool = False
+    negated: bool
+
+    def __init__(self, atom: Atom, negated: bool = False) -> None:
+        _set_atom(self, atom)
+        _set_negated(self, negated)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atom == other.atom and self.negated == other.negated
+
+    def __hash__(self) -> int:
+        return hash((self.atom, self.negated))
+
+    def __lt__(self, other: "ExplicitLiteral") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.atom, self.negated) < (other.atom, other.negated)
+
+    def __le__(self, other: "ExplicitLiteral") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.atom, self.negated) <= (other.atom, other.negated)
+
+    def __reduce__(self):
+        return ExplicitLiteral, (self.atom, self.negated)
 
     def complement(self) -> "ExplicitLiteral":
         return ExplicitLiteral(self.atom, not self.negated)
@@ -117,7 +190,10 @@ class ExplicitLiteral:
         return f"ExplicitLiteral({str(self)!r})"
 
 
-class Formula:
+_set_atom, _set_negated = ExplicitLiteral.atom.__set__, ExplicitLiteral.negated.__set__
+
+
+class Formula(_Frozen):
     """Base class of formula nodes.
 
     Supports a little operator sugar for building trees by hand:
@@ -128,8 +204,33 @@ class Formula:
     __slots__ = ("_hash", "_nested")
     _nested_connective = True  # may join nested expressions; not a slot
 
+    def __eq__(self, other: object) -> bool:
+        # one loop over the pairs of nodes left to compare; equal nodes have
+        # equal stored hashes, so a pair whose hashes differ is unequal
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        pop, push = pairs.pop, pairs.append
+        while pairs:
+            a, b = pop()
+            if a is b:
+                continue
+            kind = a.__class__
+            if kind is not b.__class__ or a._hash != b._hash:
+                return False
+            if kind in _BINARY:
+                push((a.right, b.right))
+                push((a.left, b.left))
+            elif kind in _UNARY:
+                push((a.child, b.child))
+            elif kind is AtomRef and a.atom != b.atom:
+                return False
+        return True
+
     def __hash__(self) -> int:
-        # hash(fields), as the dataclass would compute it, set by the constructor
+        # hash(fields), set by the constructor
         return self._hash
 
     def __reduce__(self):
@@ -152,34 +253,12 @@ class Formula:
         return canonical_print(self)
 
 
-def _frozen(cls: type) -> type:
-    """A frozen, slotted dataclass on which every assignment and deletion
-    raises ``FrozenInstanceError``.  The ``__setattr__`` and ``__delattr__``
-    that ``dataclass`` generates call ``super()`` on the class that
-    ``slots=True`` replaced, so they raise ``TypeError`` for a name that is
-    not a field."""
-    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
-    cls.__setattr__ = _refuse_setattr
-    cls.__delattr__ = _refuse_delattr
-    return cls
-
-
-def _refuse_setattr(self, name: str, value: object) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_delattr(self, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
 def _node(cls: type) -> type:
-    """A formula node: a frozen, slotted dataclass whose constructor fills
-    every slot, the hash included."""
-    cls = _frozen(cls)
-    names = cls.__slots__  # the fields
+    """A formula node: installs the constructor that fills every slot, the
+    hash included, for the fields the class declares as its slots."""
+    names = cls.__slots__
     cls.__init__ = _constructor(names, [getattr(cls, n).__set__ for n in names],
                                 cls._nested_connective)
-    cls.__hash__ = Formula.__hash__
     return cls
 
 
@@ -217,23 +296,23 @@ def _constructor(names: tuple, setters: list, nested_connective: bool):
     return __init__
 
 
-# write the slots past the frozen dataclass's __setattr__
 _store_hash = Formula._hash.__set__
 _store_nested = Formula._nested.__set__
 
 
 @_node
 class Bot(Formula):
-    pass
+    __slots__ = ()
 
 
 @_node
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
 @_node
 class AtomRef(Formula):
+    __slots__ = ("atom",)
     atom: Atom
 
 
@@ -241,6 +320,7 @@ class AtomRef(Formula):
 class XNeg(Formula):
     """Explicit negation node (printed ``~``)."""
 
+    __slots__ = ("child",)
     child: Formula
 
 
@@ -253,23 +333,27 @@ class DNeg(Formula):
     form is enforced by tests rather than by construction.
     """
 
+    __slots__ = ("child",)
     child: Formula
 
 
 @_node
 class And(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
 
 @_node
 class Or(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
 
 @_node
 class Impl(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
@@ -299,28 +383,21 @@ def strong_iff(a: Formula, b: Formula) -> Formula:
     return And(iff(a, b), iff(XNeg(a), XNeg(b)))
 
 
-@_frozen
-class Rule:
+class Rule(_Frozen):
     """Implication ``body -> head`` between nested expressions.
 
     The constructor stores the two sides through their slots and reads each
     side's ``_nested`` slot; only a side that is not a nested expression, or
-    not a formula, takes the slower path that names it."""
+    not a formula, takes the slower path that names it.  A rule hashes as
+    the tuple ``(body, head)``."""
 
+    __slots__ = ("body", "head")
     body: Formula
     head: Formula
 
-    def as_implication(self) -> Impl:
-        return Impl(self.body, self.head)
-
-    def __repr__(self) -> str:
-        return canonical_print(self)
-
-
-def _rule_constructor(set_body, set_head):
-    def __init__(self, body, head):
-        set_body(self, body)
-        set_head(self, head)
+    def __init__(self, body: Formula, head: Formula) -> None:
+        _set_body(self, body)
+        _set_head(self, head)
         try:
             if body._nested and head._nested:
                 return
@@ -330,10 +407,26 @@ def _rule_constructor(set_body, set_head):
             if not is_nested(side):
                 raise NotNested(f"rule {name} must be a nested expression: "
                                 f"{canonical_print(side)}")
-    return __init__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.body == other.body and self.head == other.head
+
+    def __hash__(self) -> int:
+        return hash((self.body, self.head))
+
+    def __reduce__(self):
+        return Rule, (self.body, self.head)
+
+    def as_implication(self) -> Impl:
+        return Impl(self.body, self.head)
+
+    def __repr__(self) -> str:
+        return canonical_print(self)
 
 
-Rule.__init__ = _rule_constructor(Rule.body.__set__, Rule.head.__set__)
+_set_body, _set_head = Rule.body.__set__, Rule.head.__set__
 
 
 class _Collection:

@@ -18,7 +18,6 @@ raises ``InternalInconsistency``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from .core import (
@@ -27,6 +26,7 @@ from .core import (
     Impl,
     Theory,
     X5Interpretation,
+    _Frozen,
     iff,
 )
 from .semantics import value5, x5_sat
@@ -58,8 +58,7 @@ class PreconditionViolated(ValueError):
     """A caller-supplied precondition does not actually hold."""
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
+class EquivVerdict(_Frozen):
     """Outcome of a validity or equivalence check.
 
     ``witness`` is the first counter-model in canonical enumeration order and
@@ -70,17 +69,45 @@ class EquivVerdict:
     theory extended by the left formula, then by the right one.
     """
 
+    __slots__ = ("equivalent", "witness", "context", "satisfied_side", "context_models")
     equivalent: bool
-    witness: Optional[X5Interpretation] = None
-    context: Optional[Theory] = None
-    satisfied_side: Optional[str] = None
-    context_models: Optional[tuple] = None
+    witness: Optional[X5Interpretation]
+    context: Optional[Theory]
+    satisfied_side: Optional[str]
+    context_models: Optional[tuple]
 
-    def __post_init__(self) -> None:
-        if self.equivalent and self.witness is not None:
+    def __init__(self, equivalent: bool, witness: Optional[X5Interpretation] = None,
+                 context: Optional[Theory] = None, satisfied_side: Optional[str] = None,
+                 context_models: Optional[tuple] = None) -> None:
+        object.__setattr__(self, "equivalent", equivalent)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "satisfied_side", satisfied_side)
+        object.__setattr__(self, "context_models", context_models)
+        if equivalent and witness is not None:
             raise ValueError("a verdict cannot be positive and carry a witness")
-        if not self.equivalent and self.witness is None:
+        if not equivalent and witness is None:
             raise ValueError("a negative verdict requires a witness")
+
+    def _fields(self) -> tuple:
+        return (self.equivalent, self.witness, self.context, self.satisfied_side,
+                self.context_models)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return EquivVerdict, self._fields()
+
+    def __repr__(self) -> str:
+        return (f"EquivVerdict(equivalent={self.equivalent!r}, witness={self.witness!r}, "
+                f"context={self.context!r}, satisfied_side={self.satisfied_side!r}, "
+                f"context_models={self.context_models!r})")
 
 
 def _decide(opts: Optional[SolveOptions], hits: Callable[[Chunk], int],

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -40,6 +39,7 @@ from .core import (
     Rule,
     Theory,
     XNeg,
+    _Frozen,
     iff,
     strong_iff,
 )
@@ -55,13 +55,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(_Frozen):
     """1-based position of a token in the input text."""
 
+    __slots__ = ("line", "column", "length")
     line: int
     column: int
     length: int
+
+    def __init__(self, line: int, column: int, length: int) -> None:
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "length", length)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.line, self.column, self.length) == (other.line, other.column, other.length)
+
+    def __hash__(self) -> int:
+        return hash((self.line, self.column, self.length))
+
+    def __reduce__(self):
+        return SourceSpan, (self.line, self.column, self.length)
+
+    def __repr__(self) -> str:
+        return f"SourceSpan(line={self.line!r}, column={self.column!r}, length={self.length!r})"
 
 
 class ParseError(ValueError):
@@ -97,9 +116,12 @@ _KINDS = {
     **_UNICODE_ALIASES,
 }
 
-# One alternative per lexeme, captured; whitespace and comments match
-# uncaptured, so ``findall`` gives "" for them.
-_LEXEME = re.compile(r"[ \t\r\n]+|%[^\n]*|(<->|<=>|->|\w+|.)")
+# One match per lexeme: the whitespace and comments before it, uncaptured,
+# then the lexeme, captured.  Whitespace and comments at the end of the text
+# match before ``\Z``, whose empty capture ends ``findall``'s list once or
+# twice; without it the comment would give its last character back as a
+# lexeme.
+_LEXEME = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*(<->|<=>|->|\w+|.|\Z)")
 
 
 def _kind(lexeme: str) -> Optional[str]:
@@ -134,8 +156,8 @@ class _Tokens:
         one character at the end of the text."""
         text, lexeme = self.text, self.lexemes[i]
         if lexeme:
-            matches = (m.start(1) for m in _LEXEME.finditer(text) if m.lastindex)
-            start = next(itertools.islice(matches, i, None))
+            match = next(itertools.islice(_LEXEME.finditer(text), i, None))
+            start = match.start(1)
         else:  # the end of input
             start = len(text)
         return SourceSpan(self.line + text.count("\n", 0, start),
@@ -143,7 +165,9 @@ class _Tokens:
 
 
 def _tokenize(text: str, line: int = 1) -> _Tokens:
-    lexemes = list(filter(None, _LEXEME.findall(text)))
+    lexemes = _LEXEME.findall(text)
+    while lexemes and not lexemes[-1]:  # the end of the text
+        lexemes.pop()
     kind_of = {lexeme: _kind(lexeme) for lexeme in set(lexemes)}
     kinds = list(map(kind_of.__getitem__, lexemes))
     tokens = _Tokens(text, lexemes, kinds, line)

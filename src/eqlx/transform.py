@@ -20,11 +20,13 @@ pair becomes a rule.  Each alternative is split in one pass over its items,
 into the items it keeps joined in one ``&``/``|`` chain and the ``not not``
 items it shifts across, deduplicated there, so a pair only tests the few
 shifted items for membership and extends the two shared chains by those it
-adds, or takes them as they are when nothing crosses; a ``Rule`` then costs
-two slot writes and two slot reads.  The cost per output rule is thus a
-small constant, and the whole is linear in the rules produced.  The walks
-recurse rather than loop over ``core.postorder``: in CPython a call per node
-costs less than a step of an explicit stack.
+adds, or takes them as they are when nothing crosses; an extension by one
+item is built once per call, so the rules that extend a chain alike share
+its node.  A ``Rule`` then costs two slot writes and two slot reads.  The
+cost per output rule is thus a small constant, and the whole is linear in
+the rules produced.  The walks recurse rather than loop over
+``core.postorder``: in CPython a call per node costs less than a step of an
+explicit stack.
 :func:`export_asp` renders each distinct node once per call, by id: the
 text of a literal, which all the rules of a distribution share, and of
 every chain, so a rule side that extends a shared chain by one item costs
@@ -35,7 +37,6 @@ way.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -55,6 +56,7 @@ from .core import (
     Rule,
     Top,
     XNeg,
+    _Frozen,
     atom,
     atoms,
     iff,
@@ -104,17 +106,32 @@ class CrossEncoding(Enum):
     X5_IN_N5 = "x5-in-n5"
 
 
-@dataclass(frozen=True, eq=False)
-class RewriteRule:
+class RewriteRule(_Frozen):
     """One named rewrite with the logic(s) and strength it is valid at.
 
     Entries compare by identity: a table may share another table's entry."""
 
+    __slots__ = ("name", "lhs", "rhs", "strength", "modes")
     name: str
     lhs: Formula
     rhs: Formula
     strength: str  # "subst" (values equal everywhere) or "weak" (designatedness)
     modes: Tuple[EvalMode, ...]
+
+    def __init__(self, name: str, lhs: Formula, rhs: Formula, strength: str,
+                 modes: Tuple[EvalMode, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "strength", strength)
+        object.__setattr__(self, "modes", modes)
+
+    def __reduce__(self):
+        return RewriteRule, (self.name, self.lhs, self.rhs, self.strength, self.modes)
+
+    def __repr__(self) -> str:
+        return (f"RewriteRule(name={self.name!r}, lhs={self.lhs!r}, rhs={self.rhs!r}, "
+                f"strength={self.strength!r}, modes={self.modes!r})")
 
 
 _a, _b, _c = atom("a"), atom("b"), atom("c")
@@ -441,6 +458,9 @@ def to_regular(p: Program, eliminate_head_dneg: bool = False,
     regular_rules, fold_rules = _table(REGULAR_RULES), _table(FOLD_RULES)
     traced = trace is not None
     out: List[Rule] = []
+    # each node built for the rules' sides, by its type and its children's
+    # ids; it holds the children, so their ids stay unique for the whole call
+    built: Dict[tuple, Formula] = {}
     falsum = False
     for i, r in enumerate(p):
         where = f"rule {i}" if traced else ""
@@ -463,8 +483,8 @@ def to_regular(p: Program, eliminate_head_dneg: bool = False,
             _note(trace, "body_or_split", where)
         if len(head_alts) > 1:
             _note(trace, "head_and_split", where)
-        bodies = [_Side(conj, False, eliminate_head_dneg) for conj in body_alts]
-        heads = [_Side(disj, True, eliminate_head_dneg) for disj in head_alts]
+        bodies = [_Side(conj, False, eliminate_head_dneg, built) for conj in body_alts]
+        heads = [_Side(disj, True, eliminate_head_dneg, built) for disj in head_alts]
         if traced:
             shift_body, shift_head, elim = (f"{name} @ {where}" for name in (
                 "body_dneg_shift", "head_dneg_shift", "head_dneg_elim"))
@@ -473,8 +493,8 @@ def to_regular(p: Program, eliminate_head_dneg: bool = False,
                 if traced:
                     trace += ([shift_body] * b.shifted + [shift_head] * h.shifted
                               + [elim] * (b.eliminated + h.eliminated))
-                body = _extend(b, h, And) if h.across or b.last else b.chain
-                head = _extend(h, b, Or) if b.across or h.last else h.chain
+                body = _extend(b, h, And, built) if h.across or b.last else b.chain
+                head = _extend(h, b, Or, built) if b.across or h.last else h.chain
                 if body is None and head is None:
                     falsum = True
                     continue
@@ -542,7 +562,8 @@ class _Side:
 
     __slots__ = ("kept", "chain", "across", "last", "shifted", "eliminated")
 
-    def __init__(self, items: List[Formula], head: bool, eliminate_head_dneg: bool):
+    def __init__(self, items: List[Formula], head: bool, eliminate_head_dneg: bool,
+                 built: Dict[tuple, Formula]):
         join = Or if head else And
         kept: Dict[Formula, None] = {}
         across: Dict[Formula, None] = {}
@@ -565,23 +586,36 @@ class _Side:
             if x not in kept:
                 kept[x] = None
                 chain = x if chain is None else join(chain, x)
-        for x in moved:
-            across[DNeg(x)] = None
+        for x in moved:  # one ``not not L`` per ``not L`` node, in ``built``
+            key = (DNeg, id(x))
+            doubled = built.get(key)
+            if doubled is None:
+                doubled = built[key] = DNeg(x)
+            across[doubled] = None
         self.kept, self.chain, self.across, self.last = kept, chain, across, last
         self.shifted = shifted
         self.eliminated = len(moved) if head else shifted if eliminate_head_dneg else 0
 
 
-def _extend(side: _Side, other: _Side, join: type) -> Optional[Formula]:
+def _extend(side: _Side, other: _Side, join: type,
+            built: Dict[tuple, Formula]) -> Optional[Formula]:
     """``side``'s chain joined with the ``across`` items of ``other`` it does
-    not hold, then with its own ``last`` items that are not among those."""
+    not hold, then with its own ``last`` items that are not among those.
+    Each one-item extension is looked up in ``built`` first and stored
+    there, so the rules that extend one chain by the same items share one
+    node, whose text ``canonical_print`` and ``export_asp`` then build once."""
+    added = [x for x in other.across if x not in side.kept]
+    added += [x for x in side.last if x not in other.across]
     chain = side.chain
-    for x in other.across:
-        if x not in side.kept:
-            chain = x if chain is None else join(chain, x)
-    for x in side.last:
-        if x not in other.across:
-            chain = x if chain is None else join(chain, x)
+    for x in added:
+        if chain is None:
+            chain = x
+            continue
+        key = (join, id(chain), id(x))
+        extended = built.get(key)
+        if extended is None:
+            extended = built[key] = join(chain, x)
+        chain = extended
     return chain
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -55,6 +54,7 @@ from .core import (
     Top,
     X5Interpretation,
     XNeg,
+    _Frozen,
     atoms,
     postorder,
 )
@@ -94,20 +94,36 @@ def _guarded(signature: Iterable[Atom], max_atoms: int) -> List[Atom]:
     return ordered
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class SolveOptions(_Frozen):
     """Knobs shared by all enumeration entry points.
 
     ``signature`` extends the atoms found in the input (it never shrinks
     them); any iterable of atoms is stored as a frozenset.
     """
 
-    signature: Optional[frozenset] = None
-    max_atoms: int = DEFAULT_MAX_ATOMS
+    __slots__ = ("signature", "max_atoms")
+    signature: Optional[frozenset]
+    max_atoms: int
 
-    def __post_init__(self) -> None:
-        if self.signature is not None:
-            object.__setattr__(self, "signature", frozenset(self.signature))
+    def __init__(self, signature: Optional[Iterable[Atom]] = None,
+                 max_atoms: int = DEFAULT_MAX_ATOMS) -> None:
+        object.__setattr__(self, "signature",
+                           None if signature is None else frozenset(signature))
+        object.__setattr__(self, "max_atoms", max_atoms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.signature, self.max_atoms) == (other.signature, other.max_atoms)
+
+    def __hash__(self) -> int:
+        return hash((self.signature, self.max_atoms))
+
+    def __reduce__(self):
+        return SolveOptions, (self.signature, self.max_atoms)
+
+    def __repr__(self) -> str:
+        return f"SolveOptions(signature={self.signature!r}, max_atoms={self.max_atoms!r})"
 
     def space(self, *inputs) -> "_Space":
         """The space over the atoms of ``inputs`` plus the extra atoms, sorted;

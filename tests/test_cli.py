@@ -272,6 +272,14 @@ class TestValidAndEquiv:
         code, out, _ = run(capsys, "solve", write(tmp_path, "or.txt", disj + "\n"))
         assert (code, out) == (0, "{~q}\n{p}\n")
 
+    @pytest.mark.parametrize("members", [450, 2000])
+    def test_solve_a_file_that_repeats_a_long_rule(self, tmp_path, capsys, members):
+        # loading drops the second copy, which it compares with the first
+        rule = " & ".join(["p"] * members) + " -> q.\n"
+        for text in (rule, rule * 2):
+            code, out, err = run(capsys, "solve", write(tmp_path, "rule.x5", text))
+            assert (code, out, err) == (0, "{}\n", "")
+
     def test_witness_rejected_by_the_reference_exits_4(self, capsys, monkeypatch):
         import eqlx.equivalence
         from eqlx import FiveValue

@@ -401,17 +401,22 @@ class _HashOf:
         return self.value
 
 
+def _fields(f):
+    """The values of the fields of node ``f``, which its class declares as
+    its slots."""
+    return [getattr(f, name) for name in type(f).__slots__]
+
+
 def _dataclass_hash(f):
     """The hash a frozen dataclass derives from ``f``'s fields, computed
     afresh at every node without reading any cached value."""
     return hash(tuple(_HashOf(_dataclass_hash(v)) if isinstance(v, Formula) else v
-                      for v in (getattr(f, x.name) for x in dataclasses.fields(f))))
+                      for v in _fields(f)))
 
 
 def _nodes(f):
     """Every node of ``f``, children before their parent."""
-    for x in dataclasses.fields(f):
-        child = getattr(f, x.name)
+    for child in _fields(f):
         if isinstance(child, Formula):
             yield from _nodes(child)
     yield f
@@ -423,7 +428,7 @@ def _rebuild(f):
         return AtomRef(Atom(f.atom.name))
     if isinstance(f, (Bot, Top)):
         return type(f)()
-    return type(f)(*(_rebuild(getattr(f, x.name)) for x in dataclasses.fields(f)))
+    return type(f)(*map(_rebuild, _fields(f)))
 
 
 class TestHashCache:
@@ -465,7 +470,7 @@ class TestHashCache:
     def test_cached_value_is_not_a_field(self):
         f = And(p, DNeg(q))
         hash(f)
-        assert [x.name for x in dataclasses.fields(f)] == ["left", "right"]
+        assert type(f).__slots__ == ("left", "right")
         assert f == And(p, DNeg(q)) and repr(f) == "p & not q"
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.left = q
@@ -480,8 +485,8 @@ class TestHashCache:
 
 
 class TestFrozen:
-    # Formula nodes and rules are slotted dataclasses; a name that is not a
-    # field must be refused like a field is, not with a TypeError
+    # Formula nodes and rules keep their fields in slots; a name that is not
+    # a field must be refused like a field is, not with another error
     @pytest.mark.parametrize("make", [lambda: And(p, q), lambda: DNeg(p), Bot, lambda: p,
                                       lambda: Rule(p, q)],
                              ids=["And", "DNeg", "Bot", "AtomRef", "Rule"])
@@ -503,8 +508,7 @@ class TestFrozen:
 def _has_implication(f):
     """Independent of ``is_nested`` and of any cached value."""
     return isinstance(f, Impl) or any(
-        _has_implication(getattr(f, x.name)) for x in dataclasses.fields(f)
-        if isinstance(getattr(f, x.name), Formula))
+        _has_implication(child) for child in _fields(f) if isinstance(child, Formula))
 
 
 class TestNestedCache:
@@ -525,7 +529,7 @@ class TestNestedCache:
     def test_cached_value_is_not_a_field(self):
         f, g = And(p, DNeg(q)), Impl(p, q)
         assert is_nested(f) and not is_nested(g)
-        assert [x.name for x in dataclasses.fields(f)] == ["left", "right"]
+        assert type(f).__slots__ == ("left", "right")
         assert f == And(p, DNeg(q)) and hash(f) == hash((p, DNeg(q)))
         assert g == Impl(p, q) and hash(g) == hash((p, q))
         assert repr(f) == "p & not q" and repr(g) == "p -> q"

@@ -463,6 +463,16 @@ class TestMatchesTheReferenceParser:
             too_deep = isinstance(outcome, tuple) and "nesting too deep" in outcome[1]
             assert too_deep is (levels == 101)
 
+    @pytest.mark.parametrize("text", [
+        "bird.\n% ~flies.", "p. % ~flies.", "p -> q.%", "% ~flies.", "%", "", " \t ",
+        "p.\r\n\r\n  \t", "p -> q.\r\n% c\r\n", "p & q  \r\n", "p\r\nq & \t",
+        "{p, ~q} % c", "p & % c\n q. % d \n\n"])
+    @pytest.mark.parametrize("name", _PARSERS)
+    def test_texts_that_end_in_comments_and_blanks(self, text, name):
+        # the lexer's last match takes the comment and blanks before the end
+        _same_outcome(name, text)
+        assert _tokenize(text).lexemes.count("") == 1  # the end of input only
+
     @pytest.mark.parametrize("text", ["{~bird, ~}", "{bird flies}", "{~not}", "{p, ~p}",
                                       "~bird, flies", "{p,}", "{", "{Q}", "{é}", "{¬p}"])
     def test_literal_set_examples(self, text):

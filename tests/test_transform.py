@@ -216,6 +216,37 @@ class TestTablesMatchHandWrittenRewriters:
             ref_to_regular(nnf, eliminate_head_dneg, want))
         assert got == want
 
+    @pytest.mark.parametrize("eliminate_head_dneg", [False, True])
+    def test_distribution_prints_as_the_reference(self, eliminate_head_dneg):
+        # each body alternative keeps one item, and every head clause moves
+        # its ``not not`` items (and, under elimination, its ``not`` items)
+        # into the body, so the rules extend two chains, and one node of the
+        # extensions stands for each chain extended by an item
+        prog = parse_program(
+            "a1 | a2 -> (not b1 & not b2) | (not ~b3 & not b4) | (not b5 & not not b6).\n"
+            "~c1 | not c2 -> (not not d1 & not not d2) | (not not ~d3 & d4).\n")
+        got = to_regular(prog, eliminate_head_dneg)
+        want = ref_to_regular(prog, eliminate_head_dneg)
+        assert canonical_print(got) == canonical_print(want)
+        assert export_asp(got) == export_asp(want)
+        extensions = {}  # (id of the chain extended, item): the ids of the results
+        for r in got:
+            f = r.body
+            while type(f) is And:
+                extensions.setdefault((id(f.left), f.right), set()).add(id(f))
+                f = f.left
+        assert extensions and all(len(ids) == 1 for ids in extensions.values())
+
+    def test_an_extension_keeps_its_join(self):
+        # a body and a head that are one literal node, extended by one item
+        built = {}
+        item = DNeg(q)
+        body = transform._Side([p], False, False, built)
+        head = transform._Side([p], True, False, built)
+        other = transform._Side([DNeg(item)], False, False, built)  # moves ``item`` across
+        assert transform._extend(body, other, And, built) == And(p, item)
+        assert transform._extend(head, other, Or, built) == Or(p, item)
+
     def test_folding_moved_out_of_the_reducts(self):
         assert "simplify_constants" not in reduct.__all__
         assert not hasattr(reduct, "simplify_constants")
