@@ -1,18 +1,21 @@
 """Syntax for propositional programs and theories with two negations.
 
 Formulas combine explicit negation ``~`` (constructive falsity) with default
-negation ``not`` (negation as failure) over the usual connectives.  Every type
-in this module is immutable, hashable and compared structurally, so values can
-be shared freely between threads.  Each class is written out by hand: it
-declares its slots, its constructor writes them, and every assignment or
-deletion afterwards raises ``FrozenInstanceError``.  A formula node's
-constructor fills every slot: its fields, ``_nested`` (whether it is a nested
-expression, read off its children's ``_nested``, so ``is_nested`` and
-``Rule`` read one slot and never recurse) and ``_hash``, the hash of the
-tuple of the node's fields, computed from the children's stored hashes.
-``hash()`` reads the slot, so it walks nothing, and equality is one loop
-over the pairs of nodes left to compare, so a chain of any length hashes
-and compares in constant stack depth.
+negation ``not`` (negation as failure) over the usual connectives.  Every
+type in this module is immutable, hashable and compared structurally, so
+values can be shared freely between threads.  The value classes are frozen
+records on one base, ``_Frozen``: a class declares its slots and names its
+fields once, in ``_fields``, its constructor writes them, and every
+assignment or deletion afterwards raises ``FrozenInstanceError``.  The base
+derives equality, hashing, pickling and a dataclass-style repr from the
+fields, and ``_Ordered`` their order.  A formula node's constructor fills
+every slot: its fields, ``_nested`` (whether it is a nested expression, read
+off its children's ``_nested``, so ``is_nested`` and ``Rule`` read one slot
+and never recurse) and ``_hash``, the hash of the tuple of the node's
+fields, computed from the children's stored hashes.  ``hash()`` reads the
+slot, so it walks nothing, and equality is one loop over the pairs of nodes
+left to compare, so a chain of any length hashes and compares in constant
+stack depth.
 
 ``postorder`` is the one walk the evaluation folds share: each distinct node
 once, children first, in a loop over an explicit stack.
@@ -23,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError
 from enum import IntEnum
+from operator import attrgetter
 from typing import Container, Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
 __all__ = [
@@ -77,11 +81,28 @@ class NotNested(ValueError):
 
 
 class _Frozen:
-    """Refuses every assignment and deletion, as a frozen dataclass does; a
-    constructor writes its slots past this, through the slot descriptors or
-    ``object.__setattr__``."""
+    """A record of the fields its class names in ``_fields``, which behaves
+    as a frozen dataclass of those fields does.  It refuses every assignment
+    and deletion, and it compares (only with its own class), hashes, pickles
+    and prints as the tuple of its fields.  A constructor writes its fields
+    past the refusal, through the slot descriptors or :meth:`_store`."""
 
     __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # _values(x) is the tuple of x's fields, read by a C-level getter
+        super().__init_subclass__(**kwargs)
+        names = cls._fields
+        values = attrgetter(*names) if names else lambda x: ()
+        if len(names) == 1:
+            one = values
+            values = lambda x: (one(x),)
+        cls._values = staticmethod(values)
+
+    def _store(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -89,8 +110,41 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
 
-class Atom(_Frozen):
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        # rebuild through the constructor, which fills any cache slots
+        return self.__class__, self._values(self)
+
+    def __repr__(self) -> str:
+        fields = zip(self._fields, self._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+
+class _Ordered(_Frozen):
+    """A record ordered as the tuple of its fields; ``>`` and ``>=`` reflect
+    to ``<`` and ``<=``."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) < other._values(other)
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) <= other._values(other)
+
+
+class Atom(_Ordered):
     """Propositional atom; names are lowercase-initial identifiers.
 
     Atoms are ordered by name (``>`` and ``>=`` reflect to ``<`` and
@@ -98,6 +152,7 @@ class Atom(_Frozen):
     ``(name,)``."""
 
     __slots__ = ("name", "_hash")
+    _fields = ("name",)
     name: str
 
     def __init__(self, name: str) -> None:
@@ -116,6 +171,7 @@ class Atom(_Frozen):
     def __hash__(self) -> int:
         return self._hash
 
+    # by name, as the order of the 1-tuples is, without building them
     def __lt__(self, other: "Atom") -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -125,9 +181,6 @@ class Atom(_Frozen):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.name <= other.name
-
-    def __reduce__(self):
-        return Atom, (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -139,42 +192,20 @@ class Atom(_Frozen):
 _set_name, _set_atom_hash = Atom.name.__set__, Atom._hash.__set__
 
 
-class ExplicitLiteral(_Frozen):
+class ExplicitLiteral(_Ordered):
     """An atom or its explicit negation.
 
     The order of the pairs (atom, negated) (atom name first, positive before
-    negative) is the canonical printing order for interpretations; ``>`` and
-    ``>=`` reflect to ``<`` and ``<=``.
+    negative) is the canonical printing order for interpretations.
     """
 
-    __slots__ = ("atom", "negated")
+    __slots__ = _fields = ("atom", "negated")
     atom: Atom
     negated: bool
 
     def __init__(self, atom: Atom, negated: bool = False) -> None:
         _set_atom(self, atom)
         _set_negated(self, negated)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.atom == other.atom and self.negated == other.negated
-
-    def __hash__(self) -> int:
-        return hash((self.atom, self.negated))
-
-    def __lt__(self, other: "ExplicitLiteral") -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.atom, self.negated) < (other.atom, other.negated)
-
-    def __le__(self, other: "ExplicitLiteral") -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.atom, self.negated) <= (other.atom, other.negated)
-
-    def __reduce__(self):
-        return ExplicitLiteral, (self.atom, self.negated)
 
     def complement(self) -> "ExplicitLiteral":
         return ExplicitLiteral(self.atom, not self.negated)
@@ -233,10 +264,6 @@ class Formula(_Frozen):
         # hash(fields), set by the constructor
         return self._hash
 
-    def __reduce__(self):
-        # rebuild through the constructor, which fills the cache slots
-        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
-
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
 
@@ -255,8 +282,8 @@ class Formula(_Frozen):
 
 def _node(cls: type) -> type:
     """A formula node: installs the constructor that fills every slot, the
-    hash included, for the fields the class declares as its slots."""
-    names = cls.__slots__
+    hash included, for the fields the class names in ``_fields``."""
+    names = cls._fields
     cls.__init__ = _constructor(names, [getattr(cls, n).__set__ for n in names],
                                 cls._nested_connective)
     return cls
@@ -302,17 +329,17 @@ _store_nested = Formula._nested.__set__
 
 @_node
 class Bot(Formula):
-    __slots__ = ()
+    __slots__ = _fields = ()
 
 
 @_node
 class Top(Formula):
-    __slots__ = ()
+    __slots__ = _fields = ()
 
 
 @_node
 class AtomRef(Formula):
-    __slots__ = ("atom",)
+    __slots__ = _fields = ("atom",)
     atom: Atom
 
 
@@ -320,7 +347,7 @@ class AtomRef(Formula):
 class XNeg(Formula):
     """Explicit negation node (printed ``~``)."""
 
-    __slots__ = ("child",)
+    __slots__ = _fields = ("child",)
     child: Formula
 
 
@@ -333,27 +360,27 @@ class DNeg(Formula):
     form is enforced by tests rather than by construction.
     """
 
-    __slots__ = ("child",)
+    __slots__ = _fields = ("child",)
     child: Formula
 
 
 @_node
 class And(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
 
 @_node
 class Or(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
 
 @_node
 class Impl(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
@@ -391,7 +418,7 @@ class Rule(_Frozen):
     not a formula, takes the slower path that names it.  A rule hashes as
     the tuple ``(body, head)``."""
 
-    __slots__ = ("body", "head")
+    __slots__ = _fields = ("body", "head")
     body: Formula
     head: Formula
 
@@ -407,17 +434,6 @@ class Rule(_Frozen):
             if not is_nested(side):
                 raise NotNested(f"rule {name} must be a nested expression: "
                                 f"{canonical_print(side)}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.body == other.body and self.head == other.head
-
-    def __hash__(self) -> int:
-        return hash((self.body, self.head))
-
-    def __reduce__(self):
-        return Rule, (self.body, self.head)
 
     def as_implication(self) -> Impl:
         return Impl(self.body, self.head)
@@ -682,18 +698,13 @@ def postorder(roots: Iterable[Formula], done: Container[int]) -> Iterator[Formul
 
 def substitute(phi: Formula, p: Atom, alpha: Formula) -> Formula:
     """Uniform substitution of every occurrence of ``p`` in ``phi`` by ``alpha``."""
-    if isinstance(phi, AtomRef):
+    kind = type(phi)
+    if kind is AtomRef:
         return alpha if phi.atom == p else phi
-    if isinstance(phi, XNeg):
-        return XNeg(substitute(phi.child, p, alpha))
-    if isinstance(phi, DNeg):
-        return DNeg(substitute(phi.child, p, alpha))
-    if isinstance(phi, And):
-        return And(substitute(phi.left, p, alpha), substitute(phi.right, p, alpha))
-    if isinstance(phi, Or):
-        return Or(substitute(phi.left, p, alpha), substitute(phi.right, p, alpha))
-    if isinstance(phi, Impl):
-        return Impl(substitute(phi.left, p, alpha), substitute(phi.right, p, alpha))
+    if kind in _UNARY:
+        return kind(substitute(phi.child, p, alpha))
+    if kind in _BINARY:
+        return kind(substitute(phi.left, p, alpha), substitute(phi.right, p, alpha))
     return phi
 
 
@@ -712,9 +723,7 @@ def is_explicit(x: Union[Formula, Rule, Program]) -> bool:
         return False
     if isinstance(x, XNeg):
         return is_explicit(x.child)
-    if isinstance(x, (And, Or)):
-        return is_explicit(x.left) and is_explicit(x.right)
-    if isinstance(x, Impl):
+    if isinstance(x, (And, Or, Impl)):
         return is_explicit(x.left) and is_explicit(x.right)
     return True
 

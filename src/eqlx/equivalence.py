@@ -69,7 +69,8 @@ class EquivVerdict(_Frozen):
     theory extended by the left formula, then by the right one.
     """
 
-    __slots__ = ("equivalent", "witness", "context", "satisfied_side", "context_models")
+    __slots__ = _fields = ("equivalent", "witness", "context", "satisfied_side",
+                           "context_models")
     equivalent: bool
     witness: Optional[X5Interpretation]
     context: Optional[Theory]
@@ -79,35 +80,11 @@ class EquivVerdict(_Frozen):
     def __init__(self, equivalent: bool, witness: Optional[X5Interpretation] = None,
                  context: Optional[Theory] = None, satisfied_side: Optional[str] = None,
                  context_models: Optional[tuple] = None) -> None:
-        object.__setattr__(self, "equivalent", equivalent)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "satisfied_side", satisfied_side)
-        object.__setattr__(self, "context_models", context_models)
+        self._store(equivalent, witness, context, satisfied_side, context_models)
         if equivalent and witness is not None:
             raise ValueError("a verdict cannot be positive and carry a witness")
         if not equivalent and witness is None:
             raise ValueError("a negative verdict requires a witness")
-
-    def _fields(self) -> tuple:
-        return (self.equivalent, self.witness, self.context, self.satisfied_side,
-                self.context_models)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return EquivVerdict, self._fields()
-
-    def __repr__(self) -> str:
-        return (f"EquivVerdict(equivalent={self.equivalent!r}, witness={self.witness!r}, "
-                f"context={self.context!r}, satisfied_side={self.satisfied_side!r}, "
-                f"context_models={self.context_models!r})")
 
 
 def _decide(opts: Optional[SolveOptions], hits: Callable[[Chunk], int],

@@ -58,29 +58,13 @@ __all__ = [
 class SourceSpan(_Frozen):
     """1-based position of a token in the input text."""
 
-    __slots__ = ("line", "column", "length")
+    __slots__ = _fields = ("line", "column", "length")
     line: int
     column: int
     length: int
 
     def __init__(self, line: int, column: int, length: int) -> None:
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
-        object.__setattr__(self, "length", length)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.line, self.column, self.length) == (other.line, other.column, other.length)
-
-    def __hash__(self) -> int:
-        return hash((self.line, self.column, self.length))
-
-    def __reduce__(self):
-        return SourceSpan, (self.line, self.column, self.length)
-
-    def __repr__(self) -> str:
-        return f"SourceSpan(line={self.line!r}, column={self.column!r}, length={self.length!r})"
+        self._store(line, column, length)
 
 
 class ParseError(ValueError):

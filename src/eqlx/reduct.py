@@ -5,10 +5,12 @@ subexpression of a nested expression by a constant according to the reference
 literal set, producing an explicit result.  ``ferraris_plus``/
 ``ferraris_minus`` are the dual transformations for arbitrary formulas: the
 positive one bottoms out unsatisfied subformulas, the negative one tops out
-unfalsified ones, and explicit negation swaps between them.  Which
-subformulas those are is read from one fold over the formula's nodes at the
-total pair (t, t), so each node is evaluated once and a reduct takes time
-linear in its input and its result.  Constant folding of their results is
+unfalsified ones, and explicit negation swaps between them.  Every reduct
+reads which subformulas those are from one fold over the formula's nodes at
+the total pair (t, t), ``_at_total``, so each node is evaluated once and a
+reduct takes time linear in its input and its result.  That fold is this
+module's own: no reduct calls the ``sat`` relations of ``semantics``, which
+the tests check the reducts against.  Constant folding of their results is
 ``transform.simplify_constants``.
 """
 
@@ -33,10 +35,8 @@ from .core import (
     Rule,
     Top,
     XNeg,
-    is_nested,
     postorder,
 )
-from .semantics import _nsat
 
 __all__ = [
     "reduct_nested",
@@ -49,24 +49,24 @@ __all__ = [
 
 
 def reduct_nested(f: Formula, t: Interpretation) -> Formula:
-    """Reduct of a nested expression: each ``not G`` becomes ``bot`` or ``top``."""
-    if not is_nested(f):
+    """Reduct of a nested expression: each ``not G`` becomes ``bot`` where
+    ``t`` satisfies ``G`` and ``top`` elsewhere."""
+    if not (isinstance(f, Formula) and f._nested):
         raise NotNested(f"the reduct is only defined on nested expressions: {f!r}")
-    return _reduct(f, t.literals)
+    return _reduct(f, _at_total(f, t.literals))
 
 
-def _reduct(f: Formula, t) -> Formula:
-    if isinstance(f, (AtomRef, Top, Bot)):
-        return f
-    if isinstance(f, And):
-        return And(_reduct(f.left, t), _reduct(f.right, t))
-    if isinstance(f, Or):
-        return Or(_reduct(f.left, t), _reduct(f.right, t))
-    if isinstance(f, XNeg):
-        return XNeg(_reduct(f.child, t))
-    if isinstance(f, DNeg):
-        return BOT if _nsat(t, f.child) else TOP
-    raise NotNested(f"the reduct is only defined on nested expressions: {f!r}")
+def _reduct(f: Formula, total: Dict[int, Tuple[bool, bool]]) -> Formula:
+    kind = type(f)
+    if kind is And:
+        return And(_reduct(f.left, total), _reduct(f.right, total))
+    if kind is Or:
+        return Or(_reduct(f.left, total), _reduct(f.right, total))
+    if kind is XNeg:
+        return XNeg(_reduct(f.child, total))
+    if kind is DNeg:
+        return TOP if total[id(f)][0] else BOT
+    return f  # an atom or a constant
 
 
 def reduct_rule(r: Rule, t: Interpretation) -> Rule:

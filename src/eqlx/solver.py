@@ -188,7 +188,7 @@ def minimal_models_explicit(p: Program, opts: Optional[SolveOptions] = None) -> 
     if not is_explicit(p):
         raise NotExplicit("minimal_models_explicit requires a program without default negation")
     # without default negation the reduct is the program itself
-    return _minimal(opts, p, lambda chunk: _rules_hold(chunk, p))
+    return answer_sets(p, opts)
 
 
 def answer_sets(p: Program, opts: Optional[SolveOptions] = None) -> List[Interpretation]:

@@ -111,7 +111,7 @@ class RewriteRule(_Frozen):
 
     Entries compare by identity: a table may share another table's entry."""
 
-    __slots__ = ("name", "lhs", "rhs", "strength", "modes")
+    __slots__ = _fields = ("name", "lhs", "rhs", "strength", "modes")
     name: str
     lhs: Formula
     rhs: Formula
@@ -120,18 +120,10 @@ class RewriteRule(_Frozen):
 
     def __init__(self, name: str, lhs: Formula, rhs: Formula, strength: str,
                  modes: Tuple[EvalMode, ...]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "strength", strength)
-        object.__setattr__(self, "modes", modes)
+        self._store(name, lhs, rhs, strength, modes)
 
-    def __reduce__(self):
-        return RewriteRule, (self.name, self.lhs, self.rhs, self.strength, self.modes)
-
-    def __repr__(self) -> str:
-        return (f"RewriteRule(name={self.name!r}, lhs={self.lhs!r}, rhs={self.rhs!r}, "
-                f"strength={self.strength!r}, modes={self.modes!r})")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 _a, _b, _c = atom("a"), atom("b"), atom("c")

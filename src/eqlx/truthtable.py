@@ -101,29 +101,13 @@ class SolveOptions(_Frozen):
     them); any iterable of atoms is stored as a frozenset.
     """
 
-    __slots__ = ("signature", "max_atoms")
+    __slots__ = _fields = ("signature", "max_atoms")
     signature: Optional[frozenset]
     max_atoms: int
 
     def __init__(self, signature: Optional[Iterable[Atom]] = None,
                  max_atoms: int = DEFAULT_MAX_ATOMS) -> None:
-        object.__setattr__(self, "signature",
-                           None if signature is None else frozenset(signature))
-        object.__setattr__(self, "max_atoms", max_atoms)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.signature, self.max_atoms) == (other.signature, other.max_atoms)
-
-    def __hash__(self) -> int:
-        return hash((self.signature, self.max_atoms))
-
-    def __reduce__(self):
-        return SolveOptions, (self.signature, self.max_atoms)
-
-    def __repr__(self) -> str:
-        return f"SolveOptions(signature={self.signature!r}, max_atoms={self.max_atoms!r})"
+        self._store(None if signature is None else frozenset(signature), max_atoms)
 
     def space(self, *inputs) -> "_Space":
         """The space over the atoms of ``inputs`` plus the extra atoms, sorted;

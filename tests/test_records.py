@@ -1,0 +1,65 @@
+"""The value classes declare their fields once, in ``_fields``, and take
+equality, hashing, pickling and order from ``core._Frozen`` and
+``core._Ordered``: the fields match the dataclasses they replaced
+(``reference_values``), and no class grows its own copy back."""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import eqlx
+import reference_values as ref
+from eqlx.core import _Frozen, _Ordered
+
+TWINS = ["Atom", "ExplicitLiteral", "Bot", "Top", "AtomRef", "XNeg", "DNeg", "And", "Or",
+         "Impl", "Rule", "SourceSpan", "RewriteRule", "SolveOptions", "EquivVerdict"]
+
+# the only classes that define these methods themselves, and which they define
+COMPARISON = ("__eq__", "__hash__", "__reduce__", "__lt__", "__le__")
+OWN_COMPARISON = {
+    "_Frozen": {"__eq__", "__hash__", "__reduce__"},
+    "_Ordered": {"__lt__", "__le__"},
+    "Atom": {"__eq__", "__hash__", "__lt__", "__le__"},  # by name; the stored hash
+    "Formula": {"__eq__", "__hash__"},  # a loop, and the stored hash
+    "RewriteRule": {"__eq__", "__hash__"},  # identity
+    # not records
+    "_Collection": {"__eq__", "__hash__"},
+    "Interpretation": {"__eq__", "__hash__", "__lt__", "__le__"},
+    "X5Interpretation": {"__eq__", "__hash__"},
+}
+
+
+def _records():
+    found, stack = [], [_Frozen]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            found.append(sub)
+            stack.append(sub)
+    return {cls.__name__: cls for cls in found if cls not in (_Ordered, eqlx.Formula)}
+
+
+def _eqlx_classes():
+    modules = [eqlx] + [importlib.import_module(f"eqlx.{m.name}")
+                        for m in pkgutil.iter_modules(eqlx.__path__)]
+    classes = {cls for module in modules for cls in vars(module).values()
+               if inspect.isclass(cls) and cls.__module__.startswith("eqlx")}
+    return classes | {_Frozen, _Ordered, *_records().values()}
+
+
+def test_each_record_declares_the_fields_of_its_dataclass_twin():
+    records = _records()
+    assert sorted(records) == sorted(TWINS)
+    for name, cls in records.items():
+        assert cls._fields == tuple(f.name for f in dataclasses.fields(getattr(ref, name))), name
+        assert set(cls._fields) <= set(cls.__slots__) | set(eqlx.Formula.__slots__), name
+
+
+def test_only_the_ordered_records_are_ordered():
+    ordered = {name for name, cls in _records().items() if issubclass(cls, _Ordered)}
+    assert ordered == {name for name in TWINS if getattr(ref, name).__dataclass_params__.order}
+
+
+def test_no_class_grows_its_own_comparison_back():
+    own = {cls.__name__: {m for m in COMPARISON if m in vars(cls)} for cls in _eqlx_classes()}
+    assert {name: methods for name, methods in own.items() if methods} == OWN_COMPARISON

@@ -198,3 +198,13 @@ class TestSimplifyConstants:
     def test_value_preserving_n5(self, f, m):
         from eqlx import EvalMode
         assert value5(m, simplify_constants(f), EvalMode.N5) == value5(m, f, EvalMode.N5)
+
+
+def test_the_reducts_do_not_read_the_sat_relations():
+    # the reducts and semantics.sat check each other, so neither may route
+    # through the other
+    from eqlx import reduct, semantics
+
+    borrowed = [name for name, value in vars(reduct).items()
+                if value is semantics or getattr(value, "__module__", None) == "eqlx.semantics"]
+    assert borrowed == []

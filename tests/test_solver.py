@@ -42,7 +42,7 @@ from eqlx import (
     reduct_program,
 )
 from eqlx import truthtable
-from eqlx.reduct import _reduct, ferraris_minus, ferraris_plus, ferraris_theory
+from eqlx.reduct import ferraris_minus, ferraris_plus, ferraris_theory, reduct_nested
 from eqlx.semantics import _fals, _nfals, _nsat, _sat
 from eqlx.solver import _ferraris_masks, _nested_masks
 
@@ -389,7 +389,8 @@ class TestMaskRelations:
     @settings(max_examples=150)
     def test_nested_reduct(self, f):
         _pointwise(f, _nested_masks, lambda h, t: [
-            _nsat(h, _reduct(f, t)), _nfals(h, _reduct(f, t))])
+            _nsat(h, reduct_nested(f, Interpretation(t))),
+            _nfals(h, reduct_nested(f, Interpretation(t)))])
 
     @given(formulas)
     @example(every_connective)
