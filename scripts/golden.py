@@ -7,9 +7,11 @@ and stderr for a fixed list of commands.
 
 The commands are every task that ``bench/gen.py`` builds for the workloads
 ``solve``, ``verdict`` and ``rewrite`` at seeds 1-3, with a digest of each
-input file it writes; seven commands on each file of ``samples/``; and the
-``--help`` of ``eqlx`` and of each subcommand.  Each runs in this process
-through ``eqlx.cli.main``.  The generated inputs go under a temporary
+input file it writes; seven commands on each file of ``samples/``; ``tables``
+in each mode, ``eval`` of fixed formulas at two interpretations in each mode,
+and three interpretations that ``eval`` refuses; and the ``--help`` of
+``eqlx`` and of each subcommand.  Each runs in this process through
+``eqlx.cli.main``.  The generated inputs go under a temporary
 directory, and that directory and the repository root are masked in the
 argv and in the outputs, so the file reads the same on any machine.
 
@@ -46,6 +48,16 @@ BENCH = [(workload, seed) for workload in ("solve", "verdict", "rewrite") for se
 SAMPLE_COMMANDS = (["solve"], ["solve", "--json"], ["regular"], ["export"],
                    ["export", "--no-head-not"], ["reduct", "--wrt", "{p}"],
                    ["reduct", "--ferraris", "--wrt", "{p}"])
+EVAL_FORMULAS = ("p", "p -> q", "not ~q", "~(p & not q)", "p | ~q", "~(p -> not q)")
+EVAL_MODELS = (["--model", "{p, ~q}"], ["--model", "{p}", "--here", "{}"])
+EVAL_MODES = ([], ["--mode", "n5"], ["--mode", "classical"], ["--json"])
+EVAL_TABLES = ([["tables", *mode, *json] for mode in ([], ["--mode", "n5"])
+                for json in ([], ["--json"])]
+               + [["eval", f, *model, *mode] for f in EVAL_FORMULAS
+                  for model in EVAL_MODELS for mode in EVAL_MODES]
+               + [["eval", "p", "--model", "{p, ~p}"],
+                  ["eval", "p", "--model", "{p}", "--here", "{q}"],
+                  ["eval", "p", "--model", "{top}"]])
 
 
 def python_minor() -> str:
@@ -107,6 +119,7 @@ def groups(tmp: Path) -> list:
     samples = sorted((ROOT / "samples").iterdir())
     out.append(("samples", [], [[*command, str(sample)]
                                 for sample in samples for command in SAMPLE_COMMANDS]))
+    out.append(("eval-tables", [], EVAL_TABLES))
     out.append(("help", [], [[*command, "--help"]
                              for command in [[]] + [[name] for name, *_ in cli._COMMANDS]]))
     return out

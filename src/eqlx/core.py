@@ -3,19 +3,19 @@
 Formulas combine explicit negation ``~`` (constructive falsity) with default
 negation ``not`` (negation as failure) over the usual connectives.  Every
 type in this module is immutable, hashable and compared structurally, so
-values can be shared freely between threads.  The value classes are frozen
-records on one base, ``_Frozen``: a class declares its slots and names its
-fields once, in ``_fields``, its constructor writes them, and every
-assignment or deletion afterwards raises ``FrozenInstanceError``.  The base
-derives equality, hashing, pickling and a dataclass-style repr from the
-fields, and ``_Ordered`` their order.  A formula node's constructor fills
-every slot: its fields, ``_nested`` (whether it is a nested expression, read
-off its children's ``_nested``, so ``is_nested`` and ``Rule`` read one slot
-and never recurse) and ``_hash``, the hash of the tuple of the node's
-fields, computed from the children's stored hashes.  ``hash()`` reads the
-slot, so it walks nothing, and equality is one loop over the pairs of nodes
-left to compare, so a chain of any length hashes and compares in constant
-stack depth.
+values can be shared freely between threads.  The value classes, the
+interpretations among them, are frozen records on one base, ``_Frozen``: a
+class declares its slots and names its fields once, in ``_fields``, its
+constructor writes them, and every assignment or deletion afterwards raises
+``FrozenInstanceError``.  The base derives equality, hashing, pickling and a
+dataclass-style repr from the fields, ``_Ordered`` their order.  A formula
+node's constructor fills every slot: its fields, ``_nested`` (whether it is
+a nested expression, read off its children's ``_nested``, so ``is_nested``
+and ``Rule`` read one slot and never recurse) and ``_hash``, the hash of the
+tuple of the node's fields, computed from the children's stored hashes.
+``hash()`` reads the slot, so it walks nothing, and equality is one loop
+over the pairs of nodes left to compare, so a chain of any length hashes
+and compares in constant stack depth.
 
 ``postorder`` is the one walk the evaluation folds share: each distinct node
 once, children first, in a loop over an explicit stack.
@@ -24,7 +24,6 @@ once, children first, in a loop over an explicit stack.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError
 from enum import IntEnum
 from operator import attrgetter
 from typing import Container, Dict, Iterable, Iterator, List, Mapping, Optional, Union
@@ -104,10 +103,13 @@ class _Frozen:
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
+    # dataclasses is imported here, not on import: it imports inspect
     def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
@@ -494,29 +496,26 @@ class Theory(_Collection):
     _member = Formula
 
 
-class Interpretation:
-    """Consistent set of explicit literals."""
+class Interpretation(_Frozen):
+    """Consistent set of explicit literals, ordered by inclusion."""
 
-    __slots__ = ("literals",)
+    __slots__ = _fields = ("literals",)
 
     def __init__(self, literals: Iterable[ExplicitLiteral] = ()):
         lits = frozenset(literals)
-        positive = {l.atom for l in lits if not l.negated}
-        negative = {l.atom for l in lits if l.negated}
-        clash = positive & negative
-        if clash:
-            a = min(clash)
+        # among distinct literals, an atom occurs twice iff it has both signs
+        if len({l.atom for l in lits}) < len(lits):
+            a = min(l.atom for l in lits if l.complement() in lits)
             raise InconsistentLiterals(f"inconsistent interpretation: {a} and ~{a}")
-        self.literals = lits
+        _set_literals(self, lits)
 
     def has(self, a: Atom, negated: bool = False) -> bool:
         return ExplicitLiteral(a, negated) in self.literals
 
-    def issubset(self, other: "Interpretation") -> bool:
-        return self.literals <= other.literals
-
     def __le__(self, other: "Interpretation") -> bool:
         return self.literals <= other.literals
+
+    issubset = __le__
 
     def __lt__(self, other: "Interpretation") -> bool:
         return self.literals < other.literals
@@ -530,14 +529,6 @@ class Interpretation:
     def __len__(self) -> int:
         return len(self.literals)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Interpretation):
-            return NotImplemented
-        return self.literals == other.literals
-
-    def __hash__(self) -> int:
-        return hash(self.literals)
-
     def __str__(self) -> str:
         return "{" + ", ".join(str(l) for l in self) + "}"
 
@@ -545,27 +536,28 @@ class Interpretation:
         return f"Interpretation({str(self)})"
 
 
-class X5Interpretation:
+class X5Interpretation(_Frozen):
     """Pair of here/there literal sets with ``here`` included in ``there``.
 
     Equivalently a five-valued assignment of atoms; see :meth:`value_of`.
     """
 
-    __slots__ = ("here", "there", "_values")
+    __slots__ = ("here", "there", "_by_atom")
+    _fields = ("here", "there")
 
     def __init__(self, here: Interpretation, there: Interpretation):
         if not isinstance(here, Interpretation):
             here = Interpretation(here)
         if not isinstance(there, Interpretation):
             there = Interpretation(there)
-        if not here.issubset(there):
+        if not here.literals <= there.literals:
             raise ValueError(f"here world {here} is not a subset of there world {there}")
-        self.here = here
-        self.there = there
+        _set_here(self, here)
+        _set_there(self, there)
         # the atoms' values, read by value_of; absent atoms are 0
-        values = {l.atom: -1 if l.negated else 1 for l in there.literals}
-        values.update((l.atom, -2 if l.negated else 2) for l in here.literals)
-        self._values: Dict[Atom, int] = values
+        by_atom = {l.atom: -1 if l.negated else 1 for l in there.literals}
+        by_atom.update((l.atom, -2 if l.negated else 2) for l in here.literals)
+        _set_by_atom(self, by_atom)
 
     def total(self) -> bool:
         return self.here == self.there
@@ -575,7 +567,7 @@ class X5Interpretation:
 
     def value_of(self, a: Atom) -> int:
         """Five-valued reading of one atom: 2/-2 proved, 1/-1 by default, 0 unknown."""
-        return self._values.get(a, 0)
+        return self._by_atom.get(a, 0)
 
     def values(self, signature: Iterable[Atom]) -> dict:
         return {a: self.value_of(a) for a in sorted(signature)}
@@ -587,27 +579,23 @@ class X5Interpretation:
         for a, v in values.items():
             if v not in (-2, -1, 0, 1, 2):
                 raise ValueError(f"not a five-valued assignment: {a}={v}")
-            if v == 0:
-                continue
-            lit = ExplicitLiteral(a, negated=v < 0)
-            there.append(lit)
-            if abs(v) == 2:
-                here.append(lit)
+            if v:
+                lit = ExplicitLiteral(a, negated=v < 0)
+                there.append(lit)
+                if abs(v) == 2:
+                    here.append(lit)
         return cls(Interpretation(here), Interpretation(there))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, X5Interpretation):
-            return NotImplemented
-        return self.here == other.here and self.there == other.there
-
-    def __hash__(self) -> int:
-        return hash((self.here, self.there))
 
     def __str__(self) -> str:
         return f"<{self.here}, {self.there}>"
 
     def __repr__(self) -> str:
         return f"X5Interpretation({self.here}, {self.there})"
+
+
+_set_literals = Interpretation.literals.__set__
+_set_here, _set_there = X5Interpretation.here.__set__, X5Interpretation.there.__set__
+_set_by_atom = X5Interpretation._by_atom.__set__
 
 
 class FiveValue(IntEnum):

@@ -226,6 +226,59 @@ class TestInterpretations:
     def test_total_iff_no_default_values(self, m):
         assert m.total() == all(m.value_of(a) in (-2, 0, 2) for a in ATOMS)
 
+    def test_a_clash_is_reported_at_its_least_atom(self):
+        P, Q = Atom("p"), Atom("q")
+        lits = [ExplicitLiteral(Q), ExplicitLiteral(Q, True),
+                ExplicitLiteral(P), ExplicitLiteral(P, True)]
+        with pytest.raises(InconsistentLiterals,
+                           match=r"^inconsistent interpretation: p and ~p$"):
+            Interpretation(lits)
+
+    @given(st.sets(st.tuples(st.sampled_from(ATOMS), st.booleans())))
+    def test_the_least_clashing_atom_is_named(self, pairs):
+        lits = [ExplicitLiteral(a, n) for a, n in pairs]
+        bad = sorted(a for a, n in pairs if n and (a, False) in pairs)
+        if bad:
+            with pytest.raises(InconsistentLiterals, match=rf"{bad[0]} and ~{bad[0]}$"):
+                Interpretation(lits)
+
+
+class TestFrozenInterpretations:
+    # both are frozen records: no field or cache slot can be reassigned, so
+    # a stored hash and the cached five-valued reading stay right
+    m = X5Interpretation.from_values({Atom("p"): 2, Atom("q"): -1})
+
+    @pytest.mark.parametrize("obj, name", [(m.here, "literals"), (m, "here"), (m, "there"),
+                                           (m, "_by_atom"), (m, "extra")],
+                             ids=["literals", "here", "there", "_by_atom", "extra"])
+    def test_every_assignment_and_deletion_is_refused(self, obj, name):
+        values = self.m.values(ATOMS)
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot assign to field '{name}'$"):
+            setattr(obj, name, Interpretation())
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot delete field '{name}'$"):
+            delattr(obj, name)
+        assert self.m.values(ATOMS) == values == {Atom("p"): 2, Atom("q"): -1, Atom("r"): 0}
+        assert self.m == X5Interpretation.from_values(values) and self.m in {self.m}
+
+    @given(x5_interps)
+    def test_copies_and_pickles_are_equal_with_equal_hashes(self, m):
+        copies = [pickle.loads(pickle.dumps(m, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy_module.deepcopy(m), copy_module.copy(m)]
+        for c in copies:
+            assert type(c) is X5Interpretation and c == m and hash(c) == hash(m)
+            assert c.here == m.here and hash(c.here) == hash(m.here)
+            assert c.values(ATOMS) == m.values(ATOMS)
+
+    @given(x5_interps)
+    def test_they_hash_as_the_tuples_of_their_fields(self, m):
+        assert hash(m.here) == hash((m.here.literals,))
+        assert hash(m) == hash((m.here, m.there))
+        assert m.here.issubset(m.there) and (m.here <= m.there)
+        assert Interpretation.issubset is Interpretation.__le__
+
 
 class TestCanonicalPrint:
     def test_interpretation(self):

@@ -1,12 +1,15 @@
 """The value classes declare their fields once, in ``_fields``, and take
 equality, hashing, pickling and order from ``core._Frozen`` and
 ``core._Ordered``: the fields match the dataclasses they replaced
-(``reference_values``), and no class grows its own copy back."""
+(``reference_values``), and no class grows its own copy back.  No module of
+eqlx imports ``dataclasses`` on import."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import eqlx
 import reference_values as ref
@@ -14,6 +17,8 @@ from eqlx.core import _Frozen, _Ordered
 
 TWINS = ["Atom", "ExplicitLiteral", "Bot", "Top", "AtomRef", "XNeg", "DNeg", "And", "Or",
          "Impl", "Rule", "SourceSpan", "RewriteRule", "SolveOptions", "EquivVerdict"]
+# records that replaced no dataclass
+UNTWINNED = ["Interpretation", "X5Interpretation"]
 
 # the only classes that define these methods themselves, and which they define
 COMPARISON = ("__eq__", "__hash__", "__reduce__", "__lt__", "__le__")
@@ -23,10 +28,9 @@ OWN_COMPARISON = {
     "Atom": {"__eq__", "__hash__", "__lt__", "__le__"},  # by name; the stored hash
     "Formula": {"__eq__", "__hash__"},  # a loop, and the stored hash
     "RewriteRule": {"__eq__", "__hash__"},  # identity
-    # not records
+    "Interpretation": {"__lt__", "__le__"},  # by inclusion
+    # not a record
     "_Collection": {"__eq__", "__hash__"},
-    "Interpretation": {"__eq__", "__hash__", "__lt__", "__le__"},
-    "X5Interpretation": {"__eq__", "__hash__"},
 }
 
 
@@ -49,8 +53,9 @@ def _eqlx_classes():
 
 def test_each_record_declares_the_fields_of_its_dataclass_twin():
     records = _records()
-    assert sorted(records) == sorted(TWINS)
-    for name, cls in records.items():
+    assert sorted(records) == sorted(TWINS + UNTWINNED)
+    for name in TWINS:
+        cls = records[name]
         assert cls._fields == tuple(f.name for f in dataclasses.fields(getattr(ref, name))), name
         assert set(cls._fields) <= set(cls.__slots__) | set(eqlx.Formula.__slots__), name
 
@@ -63,3 +68,28 @@ def test_only_the_ordered_records_are_ordered():
 def test_no_class_grows_its_own_comparison_back():
     own = {cls.__name__: {m for m in COMPARISON if m in vars(cls)} for cls in _eqlx_classes()}
     assert {name: methods for name, methods in own.items() if methods} == OWN_COMPARISON
+
+
+def _imports_on_import(tree):
+    """The modules named by the imports that run when ``tree`` is imported:
+    those outside any function body."""
+    names, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack += ast.iter_child_nodes(node)
+    return names
+
+
+def test_no_module_imports_dataclasses_on_import():
+    # dataclasses imports inspect; _Frozen imports it only to raise
+    sources = sorted(Path(eqlx.__file__).parent.glob("*.py"))
+    imported = {path.name: _imports_on_import(ast.parse(path.read_text("utf-8")))
+                for path in sources}
+    assert "re" in imported["core.py"] and "core" in imported["__init__.py"]
+    assert {name: [m for m in modules if m.split(".")[0] in ("dataclasses", "inspect")]
+            for name, modules in imported.items()} == {path.name: [] for path in sources}
