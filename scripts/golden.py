@@ -9,11 +9,14 @@ The commands are every task that ``bench/gen.py`` builds for the workloads
 ``solve``, ``verdict`` and ``rewrite`` at seeds 1-3, with a digest of each
 input file it writes; seven commands on each file of ``samples/``; ``tables``
 in each mode, ``eval`` of fixed formulas at two interpretations in each mode,
-and three interpretations that ``eval`` refuses; and the ``--help`` of
-``eqlx`` and of each subcommand.  Each runs in this process through
-``eqlx.cli.main``.  The generated inputs go under a temporary
-directory, and that directory and the repository root are masked in the
-argv and in the outputs, so the file reads the same on any machine.
+and three interpretations that ``eval`` refuses; the options of the other
+commands on the samples and on fixed formulas (``--via``, ``--signature``,
+``--json``, ``--max-atoms``, ``--rule-trace``, the modes, ``--no-head-not``
+and ``--ferraris``); and the ``--help`` of ``eqlx`` and of each subcommand.
+Each runs in this process through ``eqlx.cli.main``.  The generated inputs
+go under a temporary directory, and that directory and the repository root
+are masked in the argv and in the outputs, so the file reads the same on any
+machine.
 
 argparse wraps its help to ``COLUMNS`` (set to 80 here) and words its help
 and usage errors differently across Python versions, so the header records
@@ -58,6 +61,46 @@ EVAL_TABLES = ([["tables", *mode, *json] for mode in ([], ["--mode", "n5"])
                + [["eval", "p", "--model", "{p, ~p}"],
                   ["eval", "p", "--model", "{p}", "--here", "{q}"],
                   ["eval", "p", "--model", "{top}"]])
+
+
+def _sample(name: str) -> str:
+    return str(ROOT / "samples" / f"{name}.x5")
+
+
+FLAGS = ([["solve", "--via", via, _sample("birds")] for via in ("reduct", "x5", "ferraris")]
+         + [["solve", "--via", "reduct", _sample("nested_theory")],
+            ["solve", "--signature", "q, r", _sample("defaults")],
+            ["solve", "--signature", "q", "--json", _sample("closed_world")],
+            ["valid", "p | not p", "--signature", "q"],
+            ["valid", "p -> p", "--signature", "q, r", "--json"],
+            ["equiv", "weak", "not not p", "p", "--signature", "q"],
+            ["equiv", "subst", "p", "p & (q | not q)", "--signature", "r"],
+            ["context", "not not p", "p", "--signature", "q"],
+            ["context", "p | ~p", "not ~p", "--signature", "q", "--json"],
+            ["valid", "p | not p", "--json"],
+            ["valid", "p -> q", "--json"],
+            ["equiv", "weak", "~(p & q)", "~p | ~q", "--json"],
+            ["equiv", "weak", "not not p", "p", "--json"],
+            ["equiv", "subst", "~ not p", "p", "--json"],
+            ["equiv", "subst", "not (p & q)", "not p | not q", "--json"],
+            ["context", "not not p", "p", "--json"],
+            ["nnf", "~(p -> not q) & ~~r", "--json"],
+            ["nnf", "~(p <-> q)", "--mode", "n5", "--json"],
+            ["regular", _sample("birds"), "--json"],
+            ["regular", _sample("defaults"), "--no-head-not", "--json"],
+            ["export", _sample("birds"), "--json"],
+            ["reduct", "--wrt", "{p}", _sample("defaults"), "--json"],
+            ["reduct", "--ferraris", "--wrt", "{bird, ~flies}", _sample("birds"), "--json"],
+            ["reduct", "--ferraris", "--wrt", "{~p, q}", _sample("line_mode"), "--json"],
+            ["valid", "p | ~q", "--max-atoms", "1"],
+            ["solve", "--max-atoms", "1", _sample("nested_theory")],
+            ["valid", "p", "--max-atoms", "-1"],
+            ["nnf", "~(p -> not q) | ~(p & ~q)", "--mode", "n5", "--rule-trace"],
+            ["nnf", "~(not p <-> ~q)", "--rule-trace"],
+            ["regular", _sample("birds"), "--no-head-not", "--rule-trace"],
+            ["regular", _sample("defaults"), "--no-head-not", "--rule-trace"]]
+         + [["reduct", "--ferraris", "--wrt", wrt, _sample("line_mode")]
+            for wrt in ("{p}", "{p, q}", "{~p, q}")])
 
 
 def python_minor() -> str:
@@ -120,6 +163,7 @@ def groups(tmp: Path) -> list:
     out.append(("samples", [], [[*command, str(sample)]
                                 for sample in samples for command in SAMPLE_COMMANDS]))
     out.append(("eval-tables", [], EVAL_TABLES))
+    out.append(("flags", [], FLAGS))
     out.append(("help", [], [[*command, "--help"]
                              for command in [[]] + [[name] for name, *_ in cli._COMMANDS]]))
     return out

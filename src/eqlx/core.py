@@ -641,12 +641,12 @@ def atoms(x: Union[Formula, Rule, Program, Theory, Interpretation]) -> set:
     pop, push = stack.pop, stack.append
     while stack:
         f = pop()
-        kind = type(f)
-        if kind is AtomRef:
-            found.add(f.atom)
-        elif id(f) not in seen:
+        if id(f) not in seen:
             seen.add(id(f))
-            if kind in _BINARY:
+            kind = type(f)
+            if kind is AtomRef:
+                found.add(f.atom)
+            elif kind in _BINARY:
                 push(f.right)
                 push(f.left)
             elif kind in _UNARY:

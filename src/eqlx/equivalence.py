@@ -164,9 +164,8 @@ def discriminating_context(alpha: Formula, beta: Formula,
     _confirm(x5_sat(witness, satisfied) and not x5_sat(witness, other), witness)
 
     here, there = witness.here, witness.there
-    total = X5Interpretation(there, there)
     delta_formulas: List[Formula] = []
-    if not x5_sat(total, other):
+    if not x5_sat(witness.total_version(), other):
         delta_formulas.extend(Impl(TOP, l.as_formula()) for l in there)
     else:
         delta_formulas.extend(Impl(TOP, l.as_formula()) for l in here)

@@ -5,7 +5,8 @@ subexpression of a nested expression by a constant according to the reference
 literal set, producing an explicit result.  ``ferraris_plus``/
 ``ferraris_minus`` are the dual transformations for arbitrary formulas: the
 positive one bottoms out unsatisfied subformulas, the negative one tops out
-unfalsified ones, and explicit negation swaps between them.  Every reduct
+unfalsified ones, and explicit negation swaps between them.  One walk,
+``_ferraris``, builds both: its polarity flips under each ``~``.  Every reduct
 reads which subformulas those are from one fold over the formula's nodes at
 the total pair (t, t), ``_at_total``, so each node is evaluated once and a
 reduct takes time linear in its input and its result.  That fold is this
@@ -84,12 +85,12 @@ def reduct_program(p: Program, t: Interpretation) -> Program:
 
 def ferraris_plus(phi: Formula, t: Interpretation) -> Formula:
     """Positive reduct of an arbitrary formula with respect to ``t``."""
-    return _fplus(phi, _at_total(phi, t.literals))
+    return _ferraris(phi, _at_total(phi, t.literals), True)
 
 
 def ferraris_minus(phi: Formula, t: Interpretation) -> Formula:
     """Negative reduct, dual to :func:`ferraris_plus`."""
-    return _fminus(phi, _at_total(phi, t.literals))
+    return _ferraris(phi, _at_total(phi, t.literals), False)
 
 
 def ferraris_theory(gamma, t: Interpretation) -> list:
@@ -131,37 +132,23 @@ def _at_total(f: Formula, t) -> Dict[int, Tuple[bool, bool]]:
     return done
 
 
-def _fplus(f: Formula, total: Dict[int, Tuple[bool, bool]]) -> Formula:
-    if not total[id(f)][0]:
-        return BOT
-    if isinstance(f, (AtomRef, Top)):
-        return f
-    if isinstance(f, And):
-        return And(_fplus(f.left, total), _fplus(f.right, total))
-    if isinstance(f, Or):
-        return Or(_fplus(f.left, total), _fplus(f.right, total))
-    if isinstance(f, Impl):
-        return Or(DNeg(_fplus(f.left, total)), _fplus(f.right, total))
-    if isinstance(f, DNeg):
-        return DNeg(_fplus(f.child, total))
-    if isinstance(f, XNeg):
-        return XNeg(_fminus(f.child, total))
-    raise TypeError(f"cannot reduce {type(f).__name__}")
-
-
-def _fminus(f: Formula, total: Dict[int, Tuple[bool, bool]]) -> Formula:
-    if not total[id(f)][1]:
-        return TOP
-    if isinstance(f, (AtomRef, Bot)):
-        return f
-    if isinstance(f, And):
-        return And(_fminus(f.left, total), _fminus(f.right, total))
-    if isinstance(f, Or):
-        return Or(_fminus(f.left, total), _fminus(f.right, total))
-    if isinstance(f, Impl):
-        return _fminus(f.right, total)
-    if isinstance(f, DNeg):
-        return BOT
-    if isinstance(f, XNeg):
-        return XNeg(_fplus(f.child, total))
-    raise TypeError(f"cannot reduce {type(f).__name__}")
+def _ferraris(f: Formula, total: Dict[int, Tuple[bool, bool]], positive: bool) -> Formula:
+    """``f+`` if ``positive``, else ``f-``.  A node that (t, t) does not
+    satisfy becomes ``bot`` in ``f+``; one that it does not falsify becomes
+    ``top`` in ``f-``.  Otherwise ``&`` and ``|`` keep the polarity, ``~``
+    flips it, ``G -> H`` becomes ``not G+ | H+`` or ``H-``, ``not G``
+    becomes ``not G+`` or ``bot``, and atoms and constants stay."""
+    if not total[id(f)][0 if positive else 1]:
+        return BOT if positive else TOP
+    kind = type(f)
+    if kind is And or kind is Or:
+        return kind(_ferraris(f.left, total, positive), _ferraris(f.right, total, positive))
+    if kind is XNeg:
+        return XNeg(_ferraris(f.child, total, not positive))
+    if kind is Impl:
+        if not positive:
+            return _ferraris(f.right, total, False)
+        return Or(DNeg(_ferraris(f.left, total, True)), _ferraris(f.right, total, True))
+    if kind is DNeg:
+        return DNeg(_ferraris(f.child, total, True)) if positive else BOT
+    return f  # an atom or a constant

@@ -19,7 +19,7 @@ points in the mask that nothing was folded onto.  The three engines that
 * ``equilibrium_models`` reads the theory's designated masks, the compiled
   here-and-there satisfaction;
 * ``equilibrium_models_ferraris`` reads the positive reduct at h with
-  ``_ferraris_masks``, ``_fplus``/``_fminus`` in mask form.
+  ``_ferraris_masks``, ``reduct._ferraris`` in mask form.
 """
 
 from __future__ import annotations

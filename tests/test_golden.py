@@ -22,9 +22,10 @@ GROUPS = list(dict.fromkeys(line[0] for line in LINES))
 
 
 def test_the_file_covers_every_command():
-    assert GROUPS == [f"bench-{w}-{s}" for w, s in golden.BENCH] + ["samples", "eval-tables", "help"]
+    assert GROUPS == [f"bench-{w}-{s}" for w, s in golden.BENCH] + [
+        "samples", "eval-tables", "flags", "help"]
     runs = [line for line in LINES if line[1] != "input"]
-    assert len(runs) == 591 + 4 * len(golden.SAMPLE_COMMANDS) + 55 + 11
+    assert len(runs) == 591 + 5 * len(golden.SAMPLE_COMMANDS) + 55 + 37 + 11
     assert {line[1] for line in runs if line[0] == "help"} == {"argparse"}
 
 
