@@ -174,7 +174,6 @@ def _cmd_solve(args) -> int:
     theory, program = _load_file(
         args.file, "--via reduct requires a program (rules of nested expressions)"
         if args.via == "reduct" else "")
-    opts = _options(args)
 
     if args.via:
         engine_names = [args.via]
@@ -186,11 +185,11 @@ def _cmd_solve(args) -> int:
     runs = {}
     for name in engine_names:
         if name == "reduct":
-            runs[name] = answer_sets(program, opts)
+            runs[name] = answer_sets(program, args.opts)
         elif name == "x5":
-            runs[name] = equilibrium_models(theory, opts)
+            runs[name] = equilibrium_models(theory, args.opts)
         else:
-            runs[name] = equilibrium_models_ferraris(theory, opts)
+            runs[name] = equilibrium_models_ferraris(theory, args.opts)
 
     first = runs[engine_names[0]]
     agreement = None
@@ -260,8 +259,7 @@ def _cmd_reduct(args) -> int:
     return 0
 
 
-def _report(args, verdict, opts: SolveOptions, label: str, result: dict,
-            **formulas) -> int:
+def _report(args, verdict, label: str, result: dict, **formulas) -> int:
     """Print a validity or equivalence verdict.  A refuted one exits 1 and
     shows the witness and, under each key of ``formulas``, that formula's
     value at it."""
@@ -269,7 +267,7 @@ def _report(args, verdict, opts: SolveOptions, label: str, result: dict,
         _emit(args, result, text_lines=[label])
         return 0
     w = verdict.witness
-    sig = opts.space(*formulas.values()).atoms
+    sig = args.opts.space(*formulas.values()).atoms
     result.update((key, int(value5(w, f))) for key, f in formulas.items())
     values = " vs ".join(str(result[key]) for key in formulas)
     _emit(args, result, witness=_witness_payload(w, sig),
@@ -279,21 +277,19 @@ def _report(args, verdict, opts: SolveOptions, label: str, result: dict,
 
 def _cmd_valid(args) -> int:
     f = parse_formula(args.expr)
-    opts = _options(args)
-    verdict = is_valid(f, opts)
+    verdict = is_valid(f, args.opts)
     result = {"valid": verdict.equivalent}
     if args.json:  # printing unfolds shared subformulas, so only when shown
         result["formula"] = canonical_print(f)
-    return _report(args, verdict, opts, "valid", result, value=f)
+    return _report(args, verdict, "valid", result, value=f)
 
 
 def _cmd_equiv(args) -> int:
     left = parse_formula(args.left)
     right = parse_formula(args.right)
-    opts = _options(args)
     weak = args.relation == "weak"
-    verdict = (weak_equiv if weak else subst_equiv)(left, right, opts)
-    return _report(args, verdict, opts,
+    verdict = (weak_equiv if weak else subst_equiv)(left, right, args.opts)
+    return _report(args, verdict,
                    "weakly equivalent" if weak else "substitution-equivalent",
                    {"relation": args.relation, "equivalent": verdict.equivalent},
                    left_value=left, right_value=right)
@@ -302,9 +298,8 @@ def _cmd_equiv(args) -> int:
 def _cmd_context(args) -> int:
     left = parse_formula(args.left)
     right = parse_formula(args.right)
-    opts = _options(args)
-    verdict = discriminating_context(left, right, opts)
-    sig = opts.space(left, right).atoms
+    verdict = discriminating_context(left, right, args.opts)
+    sig = args.opts.space(left, right).atoms
     delta_rules = [canonical_print(Rule(f.left, f.right)) for f in verdict.context]
     with_left, with_right = verdict.context_models
 
@@ -483,6 +478,7 @@ _EXIT_CODES = (
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        args.opts = _options(args)  # every command checks the global flags
         return args.handler(args)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         message = ("formula nests too deeply to evaluate"

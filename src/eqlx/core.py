@@ -8,10 +8,12 @@ interpretations among them, are frozen records on one base, ``_Frozen``: a
 class declares its slots and names its fields once, in ``_fields``, its
 constructor writes them, and every assignment or deletion afterwards raises
 ``FrozenInstanceError``.  The base derives equality, hashing, pickling and a
-dataclass-style repr from the fields, ``_Ordered`` their order.  A formula
-node's constructor fills every slot: its fields, ``_nested`` (whether it is
-a nested expression, read off its children's ``_nested``, so ``is_nested``
-and ``Rule`` read one slot and never recurse) and ``_hash``, the hash of the
+dataclass-style repr from the fields, ``_Ordered`` their order.  The formula
+nodes inherit their fields and a plain constructor from three arity bases,
+``_Constant``, ``_Unary`` and ``_Binary``; ``AtomRef`` has its own.  That
+constructor fills every slot: the fields, ``_nested`` (whether the node is a
+nested expression, read off its children's ``_nested``, so ``is_nested`` and
+``Rule`` read one slot and never recurse) and ``_hash``, the hash of the
 tuple of the node's fields, computed from the children's stored hashes.
 ``hash()`` reads the slot, so it walks nothing, and equality is one loop
 over the pairs of nodes left to compare, so a chain of any length hashes
@@ -235,7 +237,6 @@ class Formula(_Frozen):
     """
 
     __slots__ = ("_hash", "_nested")
-    _nested_connective = True  # may join nested expressions; not a slot
 
     def __eq__(self, other: object) -> bool:
         # one loop over the pairs of nodes left to compare; equal nodes have
@@ -282,79 +283,79 @@ class Formula(_Frozen):
         return canonical_print(self)
 
 
-def _node(cls: type) -> type:
-    """A formula node: installs the constructor that fills every slot, the
-    hash included, for the fields the class names in ``_fields``."""
-    names = cls._fields
-    cls.__init__ = _constructor(names, [getattr(cls, n).__set__ for n in names],
-                                cls._nested_connective)
-    return cls
-
-
-def _constructor(names: tuple, setters: list, nested_connective: bool):
-    """The ``__init__`` of a node with fields ``names``: it stores the fields
-    through their slot ``setters``, ``_hash`` as the hash of the fields'
-    tuple and ``_nested`` as the conjunction of ``nested_connective`` and the
-    children's ``_nested``."""
-    if names == ("left", "right"):
-        set_left, set_right = setters
-
-        def __init__(self, left, right):
-            set_left(self, left)
-            set_right(self, right)
-            _store_hash(self, hash((left, right)))
-            _store_nested(self, nested_connective and left._nested and right._nested)
-    elif names == ("child",):
-        set_child, = setters
-
-        def __init__(self, child):
-            set_child(self, child)
-            _store_hash(self, hash((child,)))
-            _store_nested(self, child._nested)
-    elif names == ("atom",):
-        set_atom, = setters
-
-        def __init__(self, atom):
-            set_atom(self, atom)
-            _store_hash(self, hash((atom,)))
-            _store_nested(self, True)
-    else:  # a constant
-        def __init__(self):
-            _store_hash(self, hash(()))
-            _store_nested(self, True)
-    return __init__
-
-
 _store_hash = Formula._hash.__set__
 _store_nested = Formula._nested.__set__
 
 
-@_node
-class Bot(Formula):
+class _Constant(Formula):
+    """A node without fields."""
+
     __slots__ = _fields = ()
 
-
-@_node
-class Top(Formula):
-    __slots__ = _fields = ()
-
-
-@_node
-class AtomRef(Formula):
-    __slots__ = _fields = ("atom",)
-    atom: Atom
+    def __init__(self) -> None:
+        _store_hash(self, hash(()))
+        _store_nested(self, True)
 
 
-@_node
-class XNeg(Formula):
-    """Explicit negation node (printed ``~``)."""
+class _Unary(Formula):
+    """A connective of one operand."""
 
     __slots__ = _fields = ("child",)
     child: Formula
 
+    def __init__(self, child: Formula) -> None:
+        _set_child(self, child)
+        _store_hash(self, hash((child,)))
+        _store_nested(self, child._nested)
 
-@_node
-class DNeg(Formula):
+
+class _Binary(Formula):
+    """A connective of two operands."""
+
+    __slots__ = _fields = ("left", "right")
+    _nested_connective = True  # may join nested expressions; not a slot
+    left: Formula
+    right: Formula
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+        _store_hash(self, hash((left, right)))
+        _store_nested(self, self._nested_connective and left._nested and right._nested)
+
+
+_set_child = _Unary.child.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+
+
+class Bot(_Constant):
+    __slots__ = ()
+
+
+class Top(_Constant):
+    __slots__ = ()
+
+
+class AtomRef(Formula):
+    __slots__ = _fields = ("atom",)
+    atom: Atom
+
+    def __init__(self, atom: Atom) -> None:
+        _set_ref_atom(self, atom)
+        _store_hash(self, hash((atom,)))
+        _store_nested(self, True)
+
+
+_set_ref_atom = AtomRef.atom.__set__
+
+
+class XNeg(_Unary):
+    """Explicit negation node (printed ``~``)."""
+
+    __slots__ = ()
+
+
+class DNeg(_Unary):
     """Default negation node (printed ``not``).
 
     Kept as a first-class node even though it abbreviates ``child -> bot``;
@@ -362,30 +363,19 @@ class DNeg(Formula):
     form is enforced by tests rather than by construction.
     """
 
-    __slots__ = _fields = ("child",)
-    child: Formula
+    __slots__ = ()
 
 
-@_node
-class And(Formula):
-    __slots__ = _fields = ("left", "right")
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@_node
-class Or(Formula):
-    __slots__ = _fields = ("left", "right")
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@_node
-class Impl(Formula):
-    __slots__ = _fields = ("left", "right")
-    left: Formula
-    right: Formula
-
+class Impl(_Binary):
+    __slots__ = ()
     _nested_connective = False  # the one connective nested expressions exclude
 
 

@@ -250,11 +250,12 @@ Binding = Dict[str, Formula]
 
 def _shape(f: Formula) -> tuple:
     """The connective of ``f`` followed by those of its operands."""
-    if isinstance(f, (XNeg, DNeg)):
-        return type(f), type(f.child)
-    if isinstance(f, (And, Or, Impl)):
-        return type(f), type(f.left), type(f.right)
-    return (type(f),)
+    kind = type(f)
+    if kind is XNeg or kind is DNeg:
+        return kind, type(f.child)
+    if kind is And or kind is Or or kind is Impl:
+        return kind, type(f.left), type(f.right)
+    return (kind,)
 
 
 class _Table:
@@ -274,13 +275,7 @@ class _Table:
 
         A walk over many nodes tests ``type(f) in roots`` first, and calls
         this only for the nodes that may match."""
-        kind = type(f)
-        if kind is XNeg or kind is DNeg:
-            shape = (kind, type(f.child))
-        elif kind is And or kind is Or or kind is Impl:
-            shape = (kind, type(f.left), type(f.right))
-        else:
-            shape = (kind,)
+        shape = _shape(f)
         candidates = self.candidates.get(shape)
         if candidates is None:
             candidates = self.candidates[shape] = [

@@ -355,7 +355,7 @@ def from_eqlx(x):
         return ExplicitLiteral(from_eqlx(x.atom), x.negated)
     if isinstance(x, core.Rule):
         return Rule(from_eqlx(x.body), from_eqlx(x.head))
-    return _TWINS[type(x)](*(from_eqlx(getattr(x, name)) for name in type(x).__slots__))
+    return _TWINS[type(x)](*(from_eqlx(getattr(x, name)) for name in type(x)._fields))
 
 
 def _to_eqlx(x):

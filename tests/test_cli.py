@@ -142,6 +142,43 @@ class TestSolve:
         assert code == 2
 
 
+# a minimal valid argv of every subcommand
+MINIMAL_ARGV = {
+    "solve": ["solve", "{program}"],
+    "eval": ["eval", "p", "--model", "{{p}}"],
+    "reduct": ["reduct", "{program}", "--wrt", "{{p}}"],
+    "valid": ["valid", "p -> p"],
+    "equiv": ["equiv", "weak", "p", "p"],
+    "context": ["context", "p", "q"],
+    "nnf": ["nnf", "~(p & q)"],
+    "regular": ["regular", "{program}"],
+    "export": ["export", "{program}"],
+    "tables": ["tables"],
+}
+
+
+class TestGlobalFlags:
+    """Every subcommand checks ``--max-atoms`` and ``--signature``, also one
+    that never enumerates."""
+
+    def test_every_subcommand_is_covered(self):
+        from eqlx.cli import _COMMANDS
+        assert sorted(MINIMAL_ARGV) == sorted(name for name, *_ in _COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-atoms", "-1", "error: --max-atoms must be non-negative, got -1\n"),
+        ("--signature", "BAD NAME", "error: not a valid atom name: 'BAD NAME'\n")],
+        ids=["max-atoms", "signature"])
+    def test_a_bad_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value,
+                                         message):
+        program = write(tmp_path, "ex1.x5", EXAMPLE1)
+        argv = [arg.format(program=program) for arg in MINIMAL_ARGV[command]]
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1) and out
+        assert run(capsys, *argv, flag, value) == (2, "", message)
+
+
 class TestEval:
     def test_json_golden(self, capsys):
         code, out, _ = run(capsys, "eval", "not not p -> p",

@@ -455,9 +455,9 @@ class _HashOf:
 
 
 def _fields(f):
-    """The values of the fields of node ``f``, which its class declares as
-    its slots."""
-    return [getattr(f, name) for name in type(f).__slots__]
+    """The values of the fields of node ``f``, which its class names in
+    ``_fields``."""
+    return [getattr(f, name) for name in type(f)._fields]
 
 
 def _dataclass_hash(f):
@@ -523,7 +523,7 @@ class TestHashCache:
     def test_cached_value_is_not_a_field(self):
         f = And(p, DNeg(q))
         hash(f)
-        assert type(f).__slots__ == ("left", "right")
+        assert type(f)._fields == ("left", "right")
         assert f == And(p, DNeg(q)) and repr(f) == "p & not q"
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.left = q
@@ -582,7 +582,7 @@ class TestNestedCache:
     def test_cached_value_is_not_a_field(self):
         f, g = And(p, DNeg(q)), Impl(p, q)
         assert is_nested(f) and not is_nested(g)
-        assert type(f).__slots__ == ("left", "right")
+        assert type(f)._fields == ("left", "right")
         assert f == And(p, DNeg(q)) and hash(f) == hash((p, DNeg(q)))
         assert g == Impl(p, q) and hash(g) == hash((p, q))
         assert repr(f) == "p & not q" and repr(g) == "p -> q"

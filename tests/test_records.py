@@ -1,8 +1,9 @@
 """The value classes declare their fields once, in ``_fields``, and take
 equality, hashing, pickling and order from ``core._Frozen`` and
 ``core._Ordered``: the fields match the dataclasses they replaced
-(``reference_values``), and no class grows its own copy back.  No module of
-eqlx imports ``dataclasses`` on import."""
+(``reference_values``), and no class grows its own copy back.  The formula
+nodes take their fields and constructor from three arity bases.  No module
+of eqlx imports ``dataclasses`` on import."""
 
 import ast
 import dataclasses
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import eqlx
 import reference_values as ref
-from eqlx.core import _Frozen, _Ordered
+from eqlx.core import _Binary, _Constant, _Frozen, _Ordered, _Unary
 
 TWINS = ["Atom", "ExplicitLiteral", "Bot", "Top", "AtomRef", "XNeg", "DNeg", "And", "Or",
          "Impl", "Rule", "SourceSpan", "RewriteRule", "SolveOptions", "EquivVerdict"]
@@ -40,7 +41,8 @@ def _records():
         for sub in stack.pop().__subclasses__():
             found.append(sub)
             stack.append(sub)
-    return {cls.__name__: cls for cls in found if cls not in (_Ordered, eqlx.Formula)}
+    bases = (_Ordered, eqlx.Formula, _Constant, _Unary, _Binary)
+    return {cls.__name__: cls for cls in found if cls not in bases}
 
 
 def _eqlx_classes():
@@ -57,7 +59,8 @@ def test_each_record_declares_the_fields_of_its_dataclass_twin():
     for name in TWINS:
         cls = records[name]
         assert cls._fields == tuple(f.name for f in dataclasses.fields(getattr(ref, name))), name
-        assert set(cls._fields) <= set(cls.__slots__) | set(eqlx.Formula.__slots__), name
+        slots = {slot for base in cls.__mro__ for slot in vars(base).get("__slots__", ())}
+        assert set(cls._fields) <= slots, name
 
 
 def test_only_the_ordered_records_are_ordered():
@@ -68,6 +71,23 @@ def test_only_the_ordered_records_are_ordered():
 def test_no_class_grows_its_own_comparison_back():
     own = {cls.__name__: {m for m in COMPARISON if m in vars(cls)} for cls in _eqlx_classes()}
     assert {name: methods for name, methods in own.items() if methods} == OWN_COMPARISON
+
+
+# each concrete formula node and the base it takes its fields and constructor from
+NODE_BASES = {"Bot": _Constant, "Top": _Constant, "XNeg": _Unary, "DNeg": _Unary,
+              "And": _Binary, "Or": _Binary, "Impl": _Binary, "AtomRef": eqlx.Formula}
+
+
+def test_only_the_arity_bases_and_atom_refs_construct_formula_nodes():
+    nodes = [cls for cls in _eqlx_classes() if issubclass(cls, eqlx.Formula)]
+    assert sorted(cls.__name__ for cls in nodes if "__init__" in vars(cls)) == \
+        ["AtomRef", "_Binary", "_Constant", "_Unary"]
+    concrete = {cls.__name__: cls for cls in nodes if cls.__name__ in NODE_BASES}
+    assert sorted(concrete) == sorted(NODE_BASES)
+    for name, cls in concrete.items():
+        assert cls.__bases__ == (NODE_BASES[name],), name
+        if name != "AtomRef":
+            assert cls._fields is NODE_BASES[name]._fields and cls.__slots__ == (), name
 
 
 def _imports_on_import(tree):

@@ -99,7 +99,7 @@ def _check_pair(pair, twins, ordered=False, hashed=True):
             # a rebuilt frozenset may list its items in another order
             assert repr(again) == repr(twin_again)
         # the fields, a cache slot or two, and a name that is neither
-        names = list(type(value).__slots__) + ["_hash", "_nested", "extra"]
+        names = list(type(value)._fields) + ["_hash", "_nested", "extra"]
         assert _refusals(value, names) == _refusals(twin, names)
 
 
