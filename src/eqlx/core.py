@@ -19,8 +19,9 @@ tuple of the node's fields, computed from the children's stored hashes.
 over the pairs of nodes left to compare, so a chain of any length hashes
 and compares in constant stack depth.
 
-``postorder`` is the one walk the evaluation folds share: each distinct node
-once, children first, in a loop over an explicit stack.
+``postorder`` is the one walk the evaluation folds, the readers and the
+rebuilders share: each distinct node once, children first, in a loop over
+an explicit stack.
 """
 
 from __future__ import annotations
@@ -606,43 +607,36 @@ class FiveValue(IntEnum):
 # Structural operations
 
 
+def _formulas(x: Union[Formula, Rule, Program, Theory], doing: str) -> Iterable:
+    """The formulas of ``x``: itself, a rule's sides, a program's rules' sides
+    or a theory's members; anything else is a ``TypeError``."""
+    if isinstance(x, Formula):
+        return (x,)
+    if isinstance(x, Rule):
+        return x.body, x.head
+    if isinstance(x, Program):
+        return [side for r in x for side in (r.body, r.head)]
+    if isinstance(x, Theory):
+        return x
+    raise TypeError(f"cannot {doing} {type(x).__name__}")
+
+
 def atoms(x: Union[Formula, Rule, Program, Theory, Interpretation]) -> set:
     """Set of atoms occurring anywhere in ``x``, including under negations.
 
-    One loop over an explicit stack visits each distinct node of ``x`` once,
-    by id, and never recurses: a node shared inside ``x``, as in
-    ``iff(alpha, beta)``, or between its rules costs one lookup, and a chain
-    of any length is walked in constant stack depth.  ``x`` outlives the
-    call, so the ids stay unique."""
-    if isinstance(x, Formula):
-        stack = [x]
-    elif isinstance(x, Rule):
-        stack = [x.body, x.head]
-    elif isinstance(x, Program):
-        stack = [side for r in x for side in (r.body, r.head)]
-    elif isinstance(x, Theory):
-        stack = list(x)
-    elif isinstance(x, Interpretation):
+    One loop over ``postorder`` visits each distinct node of ``x`` once, so
+    a node shared inside ``x``, as in ``iff(alpha, beta)``, or between its
+    rules costs one lookup, and a chain of any length needs no recursion."""
+    if isinstance(x, Interpretation):
         return {l.atom for l in x.literals}
-    else:
-        raise TypeError(f"cannot collect atoms from {type(x).__name__}")
     found: set = set()
-    seen: set = set()
-    pop, push = stack.pop, stack.append
-    while stack:
-        f = pop()
-        if id(f) not in seen:
-            seen.add(id(f))
-            kind = type(f)
-            if kind is AtomRef:
-                found.add(f.atom)
-            elif kind in _BINARY:
-                push(f.right)
-                push(f.left)
-            elif kind in _UNARY:
-                push(f.child)
-            elif kind is not Top and kind is not Bot:
-                raise TypeError(f"cannot collect atoms from {kind.__name__}")
+    done: set = set()
+    for f in postorder(_formulas(x, "collect atoms from"), done):
+        done.add(id(f))
+        if type(f) is AtomRef:
+            found.add(f.atom)
+        elif not isinstance(f, Formula):
+            raise TypeError(f"cannot collect atoms from {type(f).__name__}")
     return found
 
 
@@ -675,15 +669,20 @@ def postorder(roots: Iterable[Formula], done: Container[int]) -> Iterator[Formul
 
 
 def substitute(phi: Formula, p: Atom, alpha: Formula) -> Formula:
-    """Uniform substitution of every occurrence of ``p`` in ``phi`` by ``alpha``."""
-    kind = type(phi)
-    if kind is AtomRef:
-        return alpha if phi.atom == p else phi
-    if kind in _UNARY:
-        return kind(substitute(phi.child, p, alpha))
-    if kind in _BINARY:
-        return kind(substitute(phi.left, p, alpha), substitute(phi.right, p, alpha))
-    return phi
+    """Uniform substitution of every occurrence of ``p`` in ``phi`` by ``alpha``,
+    one fold over ``postorder``: a node shared in ``phi`` is rebuilt once, and
+    shared in the result.  A ``phi`` that is not a formula comes back as is."""
+    done: Dict[int, object] = {}
+    for f in postorder((phi,), done):
+        kind = type(f)
+        if kind in _BINARY:
+            out = kind(done[id(f.left)], done[id(f.right)])
+        elif kind in _UNARY:
+            out = kind(done[id(f.child)])
+        else:
+            out = alpha if kind is AtomRef and f.atom == p else f
+        done[id(f)] = out
+    return done[id(phi)]
 
 
 def is_nested(phi: Formula) -> bool:
@@ -691,18 +690,13 @@ def is_nested(phi: Formula) -> bool:
     return phi._nested if isinstance(phi, Formula) else True
 
 
-def is_explicit(x: Union[Formula, Rule, Program]) -> bool:
+def is_explicit(x: Union[Formula, Rule, Program, Theory]) -> bool:
     """True iff no default negation occurs in ``x``."""
-    if isinstance(x, Program):
-        return all(is_explicit(r) for r in x)
-    if isinstance(x, Rule):
-        return is_explicit(x.body) and is_explicit(x.head)
-    if isinstance(x, DNeg):
-        return False
-    if isinstance(x, XNeg):
-        return is_explicit(x.child)
-    if isinstance(x, (And, Or, Impl)):
-        return is_explicit(x.left) and is_explicit(x.right)
+    done: set = set()
+    for f in postorder(_formulas(x, "look for default negation in"), done):
+        if type(f) is DNeg:
+            return False
+        done.add(id(f))
     return True
 
 

@@ -24,9 +24,9 @@ adds, or takes them as they are when nothing crosses; an extension by one
 item is built once per call, so the rules that extend a chain alike share
 its node.  A ``Rule`` then costs two slot writes and two slot reads.  The
 cost per output rule is thus a small constant, and the whole is linear in
-the rules produced.  The walks recurse rather than loop over
+the rules produced.  These walks recurse rather than loop over
 ``core.postorder``: in CPython a call per node costs less than a step of an
-explicit stack.
+explicit stack.  :func:`is_nnf` and :func:`cross_encode` are such loops.
 :func:`export_asp` renders each distinct node once per call, by id: the
 text of a literal, which all the rules of a distribution share, and of
 every chain, so a rule side that extends a shared chain by one item costs
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .core import (
     BOT,
@@ -54,12 +54,15 @@ from .core import (
     Or,
     Program,
     Rule,
+    Theory,
     Top,
     XNeg,
+    _formulas,
     _Frozen,
     atom,
     atoms,
     iff,
+    postorder,
 )
 from .semantics import EvalMode, _val
 from .semantics import value5  # noqa: F401  bench/tracing.py wraps this module binding
@@ -324,30 +327,17 @@ def _instantiate(template: Formula, binding: Binding,
     return template
 
 
-def _negated_metavariables(template: Formula) -> List[str]:
-    """The metavariables directly under a ``not`` in ``template``, left to right."""
-    kind = type(template)
-    if kind is DNeg and type(template.child) is AtomRef:
-        return [template.child.atom.name]
-    if kind is XNeg or kind is DNeg:
-        return _negated_metavariables(template.child)
-    if kind is And or kind is Or or kind is Impl:
-        return _negated_metavariables(template.left) + _negated_metavariables(template.right)
-    return []
-
-
 # ---------------------------------------------------------------------------
 # Negation normal form
 
 
-def is_nnf(f: Formula) -> bool:
-    """True iff every explicit negation in ``f`` is applied to an atom."""
-    if isinstance(f, XNeg):
-        return isinstance(f.child, AtomRef)
-    if isinstance(f, DNeg):
-        return is_nnf(f.child)
-    if isinstance(f, (And, Or, Impl)):
-        return is_nnf(f.left) and is_nnf(f.right)
+def is_nnf(x: Union[Formula, Rule, Program, Theory]) -> bool:
+    """True iff every explicit negation in ``x`` is applied to an atom."""
+    done: set = set()
+    for f in postorder(_formulas(x, "check negation normal form of"), done):
+        if type(f) is XNeg and type(f.child) is not AtomRef:
+            return False
+        done.add(id(f))
     return True
 
 
@@ -523,9 +513,9 @@ def _dneg_of(g: Formula, rules: _Table, trace: Optional[list], where: str) -> Fo
         return f
     rule, binding = hit
     _note(trace, rule.name, where)
-    negated = {}
-    for v in _negated_metavariables(rule.rhs):
-        negated[v] = _dneg_of(binding[v], rules, trace, where)
+    # each metavariable of a ``not`` entry's right-hand side stands directly
+    # under ``not``, in the order the left-hand side binds them
+    negated = {v: _dneg_of(x, rules, trace, where) for v, x in binding.items()}
     return _instantiate(rule.rhs, binding, negated)
 
 
@@ -742,27 +732,29 @@ def _render_literal(f: Formula, rule_index: int, allow_double: bool = False) -> 
 def cross_encode(phi: Formula, direction: CrossEncoding) -> Formula:
     """Express one logic's implication and default negation inside the other.
 
-    Bottom-up, so nested operators are translated exactly once.  Encoding
-    ``N5_IN_X5`` yields a formula to be evaluated in X5 mode that reproduces
-    the N5 value of the original, and vice versa.
+    A fold over ``core.postorder``, so each distinct subformula is translated
+    exactly once and a subformula shared in ``phi`` is shared in the result.
+    Encoding ``N5_IN_X5`` yields a formula to be evaluated in X5 mode that
+    reproduces the N5 value of the original, and vice versa.
     """
-    if isinstance(phi, (Bot, Top, AtomRef)):
-        return phi
-    if isinstance(phi, XNeg):
-        return XNeg(cross_encode(phi.child, direction))
-    if isinstance(phi, And):
-        return And(cross_encode(phi.left, direction), cross_encode(phi.right, direction))
-    if isinstance(phi, Or):
-        return Or(cross_encode(phi.left, direction), cross_encode(phi.right, direction))
-    if isinstance(phi, DNeg):
-        child = cross_encode(phi.child, direction)
-        if direction is CrossEncoding.N5_IN_X5:
-            return Impl(child, XNeg(child))
-        return DNeg(DNeg(DNeg(child)))
-    if isinstance(phi, Impl):
-        left = cross_encode(phi.left, direction)
-        right = cross_encode(phi.right, direction)
-        if direction is CrossEncoding.N5_IN_X5:
-            return Impl(left, Or(XNeg(left), right))
-        return And(Impl(left, right), Impl(XNeg(right), DNeg(DNeg(DNeg(left)))))
-    raise TypeError(f"cannot encode {type(phi).__name__}")
+    n5_in_x5 = direction is CrossEncoding.N5_IN_X5
+    done: Dict[int, Formula] = {}
+    for f in postorder((phi,), done):
+        kind = type(f)
+        if kind is Bot or kind is Top or kind is AtomRef:
+            out = f
+        elif kind is XNeg:
+            out = XNeg(done[id(f.child)])
+        elif kind is And or kind is Or:
+            out = kind(done[id(f.left)], done[id(f.right)])
+        elif kind is DNeg:
+            child = done[id(f.child)]
+            out = Impl(child, XNeg(child)) if n5_in_x5 else DNeg(DNeg(DNeg(child)))
+        elif kind is Impl:
+            left, right = done[id(f.left)], done[id(f.right)]
+            out = (Impl(left, Or(XNeg(left), right)) if n5_in_x5
+                   else And(Impl(left, right), Impl(XNeg(right), DNeg(DNeg(DNeg(left))))))
+        else:
+            raise TypeError(f"cannot encode {kind.__name__}")
+        done[id(f)] = out
+    return done[id(phi)]

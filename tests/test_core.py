@@ -146,6 +146,17 @@ class TestSyntacticClasses:
         assert not is_explicit(DNeg(p))
         assert is_explicit(And(p, XNeg(q)))
 
+    def test_is_explicit_reads_rules_programs_and_theories(self):
+        explicit, default = Rule(XNeg(p), q), Rule(p, Or(q, DNeg(r)))
+        assert is_explicit(explicit) and not is_explicit(default)
+        assert is_explicit(Program([explicit]))
+        assert not is_explicit(Program([explicit, default]))
+        assert is_explicit(Theory([Impl(p, XNeg(q)), TOP]))
+        assert not is_explicit(Theory([Impl(p, XNeg(q)), DNeg(p)]))
+        for x in (3, "p"):
+            with pytest.raises(TypeError, match="cannot .* " + type(x).__name__):
+                is_explicit(x)
+
 
 class TestRule:
     def test_rejects_implication_in_sides(self):

@@ -2,8 +2,12 @@
 
 Each fold is compared with its recursive form in ``reference_folds`` on
 formulas whose nodes are shared, as ``<->`` and ``<=>`` share their operands,
-and so are the Ferraris reducts, which read one such fold.
+and so are the Ferraris reducts, which read one such fold.  The structural
+readers and rebuilders (``atoms``, ``is_explicit``, ``is_nnf``,
+``substitute``, ``cross_encode``) are one ``postorder`` loop each.
 """
+
+import pytest
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -12,17 +16,25 @@ import reference_folds as ref
 from conftest import ATOMS, formula_strategy
 from eqlx import (
     And,
+    Atom,
+    CrossEncoding,
     DNeg,
     EvalMode,
     Impl,
     Or,
     SolveOptions,
     XNeg,
+    atom,
+    atoms,
+    cross_encode,
     iff,
+    is_explicit,
+    is_nnf,
     parse_formula,
     strong_iff,
+    substitute,
 )
-from eqlx import ferraris_minus, ferraris_plus, reduct, truthtable
+from eqlx import core, ferraris_minus, ferraris_plus, reduct, transform, truthtable
 from eqlx.core import postorder
 from eqlx.semantics import _csat, _fals, _nfals, _nsat, _sat, _val
 from eqlx.solver import _ferraris_masks, _nested_masks
@@ -190,3 +202,51 @@ class TestFerrarisReductWalksOnce:
                 for reduce in (ferraris_plus, ferraris_minus):
                     walked = self._yields(monkeypatch, reduce, f, t)
                     assert len(walked) == len(set(walked)) <= len(_distinct(f))
+
+
+class TestStructuralWalksArePostorder:
+    def test_each_distinct_node_once(self, monkeypatch):
+        walks = []
+
+        def counting(roots, done):
+            walks.append([])
+            for g in postorder(roots, done):
+                walks[-1].append(id(g))
+                yield g
+
+        monkeypatch.setattr(core, "postorder", counting)
+        monkeypatch.setattr(transform, "postorder", counting)
+        # 12 arrows: the unfolded tree has 24 571 nodes
+        f = parse_formula(" <-> ".join(["p"] * 13))
+        calls = [atoms, is_explicit, is_nnf, lambda g: substitute(g, Atom("p"), atom("q"))]
+        calls += [lambda g, d=d: cross_encode(g, d) for d in CrossEncoding]
+        for call in calls:
+            walks.clear()
+            call(f)
+            assert len(walks) == 1
+            assert len(walks[0]) == len(set(walks[0]))
+            assert set(walks[0]) == _distinct(f)
+
+    def test_a_shared_subformula_stays_shared(self):
+        f = DNeg(Impl(atom("p"), XNeg(atom("q"))))
+        rebuilt = [substitute(And(f, f), Atom("p"), atom("r"))]
+        rebuilt += [cross_encode(And(f, f), d) for d in CrossEncoding]
+        assert all(g.left is g.right for g in rebuilt)
+
+    @pytest.mark.parametrize("join", [" & ", " | "])
+    def test_20000_member_chains(self, join):
+        members = (["p", "~q", "not r"] * 6667)[:20000]
+
+        def chain(replace):
+            return parse_formula(join.join(replace.get(m, m) for m in members))
+
+        f = chain({})
+        assert not is_explicit(f)
+        assert is_explicit(chain({"not r": "~r"}))
+        assert is_nnf(f)
+        assert not is_nnf(chain({"~q": "~(p & q)"}))
+        g = substitute(f, Atom("p"), XNeg(atom("s")))
+        assert g == chain({"p": "~s"})
+        assert atoms(g) == {Atom("q"), Atom("r"), Atom("s")}
+        assert cross_encode(f, CrossEncoding.N5_IN_X5) == chain({"not r": "(r -> ~r)"})
+        assert cross_encode(f, CrossEncoding.X5_IN_N5) == chain({"not r": "not not not r"})

@@ -12,6 +12,7 @@ from eqlx import (
     TOP,
     And,
     Atom,
+    AtomRef,
     Bot,
     CrossEncoding,
     DNeg,
@@ -24,6 +25,7 @@ from eqlx import (
     RewriteBudgetExceeded,
     Rule,
     SolveOptions,
+    Theory,
     Top,
     XNeg,
     answer_sets,
@@ -91,6 +93,27 @@ class TestRuleTable:
 
     def test_traced_regularization_names_are_entries(self):
         assert {"head_dneg_elim", "falsum_rule_split", "drop_trivial_rule"} <= TABLE_NAMES
+
+    def test_not_entries_bind_only_metavariables_under_not(self):
+        # ``_dneg_of`` pushes ``not`` onto every binding of a ``not`` entry's
+        # match, in the order the left-hand side binds them
+        def metavariables(template, parent=None):
+            """(name, parent connective) of each metavariable, left to right."""
+            if type(template) is AtomRef:
+                return [(template.atom.name, parent)]
+            children = [getattr(template, n) for n in ("left", "right", "child")
+                        if hasattr(template, n)]
+            return [m for c in children for m in metavariables(c, type(template))]
+
+        checked = set()
+        for rule in REGULAR_RULES:
+            if type(rule.lhs) is DNeg:
+                rhs = metavariables(rule.rhs)
+                assert all(parent is DNeg for _, parent in rhs), rule.name
+                bound = dict.fromkeys(name for name, _ in metavariables(rule.lhs))
+                assert [name for name, _ in rhs] == list(bound), rule.name
+                checked.add(rule.name)
+        assert checked >= {"dneg_and", "dneg_or", "dneg_top", "dneg_bot", "triple_dneg"}
 
     def test_user_atoms_named_like_metavariables(self):
         assert to_nnf(parse_formula("~(b & a)")) == parse_formula("~b | ~a")
@@ -314,6 +337,17 @@ class TestNNF:
     @given(nested_formulas)
     def test_nested_inputs_keep_their_value(self, f):
         assert subst_equiv(f, to_nnf(f)).equivalent
+
+    def test_is_nnf_reads_rules_programs_and_theories(self):
+        nnf, not_nnf = Rule(XNeg(p), DNeg(q)), Rule(p, Or(q, XNeg(And(p, q))))
+        assert is_nnf(nnf) and not is_nnf(not_nnf)
+        assert is_nnf(Program([nnf]))
+        assert not is_nnf(Program([nnf, not_nnf]))
+        assert is_nnf(Theory([Impl(XNeg(p), q), TOP]))
+        assert not is_nnf(Theory([Impl(XNeg(p), q), XNeg(And(p, q))]))
+        for x in (3, "p"):
+            with pytest.raises(TypeError, match="cannot .* " + type(x).__name__):
+                is_nnf(x)
 
     def test_trace_records_applications(self):
         trace = []
@@ -611,6 +645,11 @@ class TestCrossEncoding:
     def test_atoms_fixed(self):
         assert cross_encode(p, CrossEncoding.N5_IN_X5) == p
         assert cross_encode(p, CrossEncoding.X5_IN_N5) == p
+
+    def test_a_non_formula_is_refused(self):
+        for d in CrossEncoding:
+            with pytest.raises(TypeError, match="cannot encode int"):
+                cross_encode(3, d)
 
     def test_implication_table_equality(self):
         f = Impl(p, q)
